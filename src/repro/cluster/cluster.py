@@ -46,7 +46,6 @@ exercises the cluster path end to end.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from ..api.dataplane import ContinuousQuery, GatherResult
@@ -116,42 +115,9 @@ class PlatformCluster:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            # Back-compat shim: the old constructor took every shape knob
-            # as a loose keyword argument.  Fold them into a ClusterConfig
-            # (unknown names fail inside the dataclass constructor).
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either config= or legacy keyword arguments, not both"
-                )
-            warnings.warn(
-                "constructing PlatformCluster from loose keyword arguments "
-                "is deprecated; pass config=ClusterConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            try:
-                config = ClusterConfig(**legacy)
-            except TypeError as exc:
-                raise ConfigurationError(str(exc)) from None
         config = (config if config is not None else ClusterConfig()).validate()
         self.config = config
-        n_shards = config.n_shards
-        n_executors_per_shard = config.n_executors_per_shard
-        vnodes = config.vnodes
-        query_deadline_s = config.query_deadline_s
-        twopc_timeout_s = config.twopc_timeout_s
-        buffer_pool_pages = config.buffer_pool_pages
-        physical_priority = config.physical_priority
-        txn_cost_s = config.txn_cost_s
-        n_replicas = config.n_replicas
-        heartbeat_interval_s = config.heartbeat_interval_s
-        phi_threshold = config.phi_threshold
-        n_storage_nodes = config.n_storage_nodes
-        storage_vnodes = config.storage_vnodes
-        storage_rpc_timeout_s = config.storage_rpc_timeout_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NoopTracer()
         self.faults = faults
@@ -164,35 +130,31 @@ class PlatformCluster:
             faults.tracer = self.tracer
             faults.tracer_injected = True
         self.clock = faults.clock if faults is not None else SimulationClock()
-        self.n_executors_per_shard = n_executors_per_shard
-        self.buffer_pool_pages = buffer_pool_pages
-        self.physical_priority = physical_priority
-        self.txn_cost_s = txn_cost_s
-        self.query_deadline = Timeout(query_deadline_s)
-        self.router = ShardRouter(vnodes=vnodes, metrics=self.metrics)
+        self.physical_priority = config.physical_priority
+        self.query_deadline = Timeout(config.query_deadline_s)
+        self.router = ShardRouter(vnodes=config.vnodes, metrics=self.metrics)
         # Disaggregated mode: one shared storage tier, mounted by every
         # compute shard.  The tier shares the cluster clock so RPC latency
         # advances the same simulated time the rest of the system runs on.
         self.storage: StorageTier | None = None
-        self._storage_rpc_timeout_s = storage_rpc_timeout_s
         self._down_compute: set[str] = set()
-        if n_storage_nodes is not None:
+        if config.n_storage_nodes is not None:
             self.storage = StorageTier(
-                n_nodes=n_storage_nodes,
-                vnodes=storage_vnodes,
+                n_nodes=config.n_storage_nodes,
+                vnodes=config.storage_vnodes,
                 clock=self.clock,
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
         self.shards: dict[str, MetaversePlatform] = {}
-        for i in range(n_shards):
+        for i in range(config.n_shards):
             name = f"shard-{i}"
             self.router.add_shard(name)
             self.shards[name] = self._make_shard(name)
         self.coordinator = CrossShardCoordinator(
             self.shards,
             clock=self.clock,
-            timeout_s=twopc_timeout_s,
+            timeout_s=config.twopc_timeout_s,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -223,12 +185,12 @@ class PlatformCluster:
         # replicated, no heartbeats flow, and every path below behaves
         # exactly as before.
         self.failover: FailoverManager | None = None
-        if n_replicas >= 2:
+        if config.n_replicas >= 2:
             self.failover = FailoverManager(
                 self,
-                n_replicas=n_replicas,
-                heartbeat_interval_s=heartbeat_interval_s,
-                phi_threshold=phi_threshold,
+                n_replicas=config.n_replicas,
+                heartbeat_interval_s=config.heartbeat_interval_s,
+                phi_threshold=config.phi_threshold,
                 tracer=self.tracer,
                 replica_log_compact_threshold=(
                     config.replica_log_compact_threshold
@@ -248,13 +210,13 @@ class PlatformCluster:
             engine = self.storage.mount(
                 client=name or "shard",
                 faults=self.faults,
-                rpc_timeout_s=self._storage_rpc_timeout_s,
+                rpc_timeout_s=self.config.storage_rpc_timeout_s,
             )
         return MetaversePlatform(
-            n_executors=self.n_executors_per_shard,
-            buffer_pool_pages=self.buffer_pool_pages,
+            n_executors=self.config.n_executors_per_shard,
+            buffer_pool_pages=self.config.buffer_pool_pages,
             physical_priority=self.physical_priority,
-            txn_cost_s=self.txn_cost_s,
+            txn_cost_s=self.config.txn_cost_s,
             metrics=self.metrics,
             tracer=self.tracer,
             faults=self.faults,
@@ -597,7 +559,7 @@ class PlatformCluster:
         if self.failover is not None:
             if self.failover.is_down(owner):
                 self.metrics.counter("cluster.failover.replica_reads").inc()
-                return self.failover.replica_value(owner, key)
+                return self.failover.replicator.latest_value(owner, key)
             if self.failover.state(owner) == RECOVERING:
                 return self._read_repair(owner, key, allow_stale)
         return self.shards[owner].read(key, allow_stale=allow_stale)
@@ -610,7 +572,7 @@ class PlatformCluster:
         raise ConfigurationError("every compute node is down")
 
     def _read_repair(self, owner: str, key: str, allow_stale: bool):
-        expected = self.failover.replica_value(owner, key)
+        expected = self.failover.replicator.latest_value(owner, key)
         value = self.shards[owner].read(key, allow_stale=allow_stale)
         if expected is not None and value != expected:
             self.shards[owner].import_entity(key, expected)
@@ -940,7 +902,7 @@ class PlatformCluster:
             self.metrics.counter("cluster.disagg.rerouted_reads").inc()
             return int(value.get("stock", 0))
         if self._is_down(owner):
-            stock = self.failover.replica_stock(owner, product_id)
+            stock = self.failover.replicator.latest_stock(owner, product_id)
             if stock is None:
                 raise ConfigurationError(
                     f"product {product_id!r} unknown to replicas of {owner!r}"

@@ -111,9 +111,8 @@ class ElasticityConfig:
 class ClusterConfig:
     """Everything that decides a :class:`PlatformCluster`'s shape.
 
-    Field defaults are exactly the legacy keyword defaults, so
-    ``ClusterConfig()`` builds the same cluster as a bare
-    ``PlatformCluster()`` always did.
+    It is the only way to shape a cluster: ``ClusterConfig()`` builds
+    the same cluster as a bare ``PlatformCluster()``.
     """
 
     n_shards: int = 4

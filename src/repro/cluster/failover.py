@@ -11,11 +11,10 @@ substrate:
   carried by a :class:`~repro.net.simnet.SimulatedNetwork` on the cluster
   clock, so injected ``net.link`` partition/drop rules starve heartbeats
   and drive detection exactly as a real partition would;
-* :class:`ShardReplicator` — every shard-state mutation is logged to a
-  per-shard :class:`~repro.storage.wal.WriteAheadLog` and copied,
-  LSN-for-LSN (:meth:`WriteAheadLog.append_at`), to the R-1 ring-successor
-  shards (the ``replicas_of`` walk :mod:`repro.storage.sharded` uses),
-  with hinted handoff while a holder is down;
+* :class:`ShardReplicator` — the cluster placement of
+  :class:`~repro.storage.replica_log.ReplicaLog`: every shard mutation is
+  logged and copied, LSN-for-LSN, to the R-1 ring-successor shards, with
+  hinted handoff while a holder is down;
 * **promotion** — when the detector suspects a shard, the
   :class:`FailoverManager` replays the LSN-union of the surviving log
   copies (tolerant of torn tails from ``corrupt_tail`` and of holes from
@@ -23,21 +22,16 @@ substrate:
   under the dead shard's name — the ring never changes, so routing is
   untouched;
 * **anti-entropy** — after promotion, copies reconverge by comparing
-  RFC-6962 Merkle roots (:mod:`repro.ledger.merkle`) over ``(lsn,
-  payload)`` leaves and rebuilding any copy whose root disagrees; reads
-  against a recovering shard additionally read-repair through
-  :meth:`PlatformCluster.read`.
+  Merkle roots and rebuilding any copy whose root disagrees with the
+  union; reads against a recovering shard additionally read-repair
+  through :meth:`PlatformCluster.read`.
 
-Replayed operations are *absolute post-states* (entity values, product
-records, stock levels after a committed purchase), never the requests
-themselves — replay is therefore idempotent and a promoted replica can
-never re-execute a purchase, which is what keeps the flash sale
-exactly-once across a mid-sale kill (experiment E25).
+Replaying logged post-states (never requests) is idempotent, which keeps
+the flash sale exactly-once across a mid-sale kill (experiment E25).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from typing import TYPE_CHECKING
@@ -45,10 +39,18 @@ from typing import TYPE_CHECKING
 from ..core.clock import EventScheduler
 from ..core.errors import ConfigurationError, NetworkError, PartitionedError
 from ..core.metrics import MetricsRegistry
-from ..ledger.merkle import MerkleTree
 from ..net.simnet import SimulatedNetwork
 from ..obs.tracing import NoopTracer, Tracer
 from ..resilience.faults import FaultInjector
+from ..storage.replica_log import (
+    DROPPED,
+    ReplicaLog,
+    drop_entity_op,
+    entity_op,
+    fold,
+    product_op,
+    stock_op,
+)
 from ..storage.wal import WalEntry, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,77 +133,16 @@ class FailureDetector:
         self._intervals[shard] = deque(maxlen=self.window)
 
 
-def _merkle_root(entries: list[WalEntry]) -> bytes:
-    tree = MerkleTree()
-    for entry in entries:
-        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
-    return tree.root()
-
-
-def compact_entries(entries: list[WalEntry]) -> list[WalEntry]:
-    """Collapse superseded absolute post-states, preserving replay
-    semantics.
-
-    Every logged op is an absolute post-state keyed by ``k``.  An op is
-    dropped only when a *later op in this same copy* provably supersedes
-    it under the replay fold, for any interleaving with other copies'
-    entries in the LSN-union:
-
-    * entity family (``entity``/``drop_entity``): later ops replace
-      wholesale, so only the last op per key survives;
-    * product family (``product``/``drop_product``): same wholesale rule
-      — keep the last, which also supersedes any *earlier* ``stock`` op;
-    * ``stock``: sets only the stock field, so the last stock op survives
-      alongside (not folded into) the last product op when it is newer.
-
-    Survivors are kept *verbatim at their original LSNs* — no ops are
-    synthesized, because a synthesized full record could claim non-stock
-    fields at an LSN newer than another copy's genuine ``product`` op
-    that this copy missed (a replication hole), corrupting the union.
-    Unknown op kinds are kept verbatim (future-proofing over dropping
-    data).
-    """
-    # Hinted handoff can append old LSNs after newer ones, so buffer
-    # order is not LSN order; sort first so "last seen" == "highest LSN".
-    entries = sorted(entries, key=lambda entry: entry.lsn)
-    entity_last: dict[str, WalEntry] = {}
-    product_last: dict[str, WalEntry] = {}
-    stock_last: dict[str, WalEntry] = {}
-    passthrough: list[WalEntry] = []
-    for entry in entries:
-        op = json.loads(entry.payload.decode("utf-8"))
-        kind = op.get("op")
-        key = op.get("k")
-        if kind in ("entity", "drop_entity"):
-            entity_last[key] = entry
-        elif kind in ("product", "drop_product"):
-            product_last[key] = entry
-            stock_last.pop(key, None)  # older stock level: superseded
-        elif kind == "stock":
-            stock_last[key] = entry
-        else:
-            passthrough.append(entry)
-    compacted = (
-        passthrough
-        + list(entity_last.values())
-        + list(product_last.values())
-        + list(stock_last.values())
-    )
-    compacted.sort(key=lambda entry: entry.lsn)
-    return compacted
-
-
 class ShardReplicator:
-    """Per-shard replicated operation logs with hinted handoff.
+    """Cluster placement of the replica log: one
+    :class:`~repro.storage.replica_log.ReplicaLog` per shard.
 
-    For each shard (the *owner*) there is one log copy per replica holder
-    — the owner itself plus its R-1 distinct ring successors
-    (:meth:`ShardRouter.replica_holders`).  The owner's copy assigns LSNs;
-    holder copies adopt them verbatim, so a copy that missed a replication
-    message (injected ``cluster.replicate`` drop) carries a visible LSN
-    hole rather than silently renumbering, and the union across copies is
-    well defined.  Ops destined for a *down* holder are buffered as hints
-    and delivered when the holder returns.
+    For each shard (the *owner*) the holders are the owner itself plus
+    its R-1 distinct ring successors (:meth:`ShardRouter.replica_holders`).
+    Every op ships synchronously to each up holder through the
+    ``cluster.replicate`` drop site; ops destined for a *down* holder are
+    buffered as hints and delivered when the holder returns.  Repair takes
+    the LSN-union of all copies as the truth.
     """
 
     def __init__(
@@ -217,10 +158,7 @@ class ShardReplicator:
         self.n_replicas = n_replicas
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
-        # owner -> holder -> that holder's copy of the owner's op log.
-        self._logs: dict[str, dict[str, WriteAheadLog]] = {}
-        # holder -> ops buffered while the holder was down.
-        self._hints: dict[str, list[tuple[str, int, bytes]]] = {}
+        self._logs: dict[str, ReplicaLog] = {}
         self._down: set[str] = set()
         # owner -> primary-copy entry count right after its last compaction
         # (the 2x-growth trigger that keeps compaction amortized O(n)).
@@ -234,31 +172,31 @@ class ShardReplicator:
             names.remove(owner)
         return [owner, *names][:n]
 
-    def _copies(self, owner: str) -> dict[str, WriteAheadLog]:
-        copies = self._logs.get(owner)
-        if copies is None:
-            copies = {holder: WriteAheadLog() for holder in self.holders(owner)}
-            self._logs[owner] = copies
-        return copies
+    def _log(self, owner: str) -> ReplicaLog:
+        log = self._logs.get(owner)
+        if log is None:
+            log = ReplicaLog(owner, self.holders(owner)[1:])
+            self._logs[owner] = log
+        return log
+
+    def copy(self, owner: str, holder: str) -> WriteAheadLog:
+        """``holder``'s copy of ``owner``'s log (the owner's is the primary)."""
+        return self._log(owner).copies[holder]
 
     def reset(self) -> None:
         """Drop all logs and hints (membership-change resync)."""
         self._logs.clear()
-        self._hints.clear()
         self._last_compacted.clear()
 
     # -- the write path -----------------------------------------------------
 
     def log_op(self, owner: str, op: dict) -> int:
         """Log one absolute-state op for ``owner`` and replicate it."""
-        payload = json.dumps(op, sort_keys=True).encode("utf-8")
-        copies = self._copies(owner)
-        lsn = copies[owner].append(payload)
-        for holder, copy in copies.items():
-            if holder == owner:
-                continue
+        log = self._log(owner)
+        lsn, payload = log.append(op)
+        for holder in log.replicas:
             if holder in self._down:
-                self._hints.setdefault(holder, []).append((owner, lsn, payload))
+                log.hints.setdefault(holder, []).append((lsn, payload))
                 self.metrics.counter("cluster.failover.hints_buffered").inc()
                 continue
             if self.faults is not None:
@@ -272,7 +210,7 @@ class ShardReplicator:
                         "cluster.failover.replication_dropped"
                     ).inc()
                     continue
-            copy.append_at(lsn, payload)
+            log.adopt(holder, lsn, payload)
         self.metrics.counter("cluster.failover.replicated_ops").inc()
         return lsn
 
@@ -284,51 +222,38 @@ class ShardReplicator:
     def mark_up(self, holder: str) -> None:
         """Holder is back: deliver every hint buffered for it."""
         self._down.discard(holder)
-        for owner, lsn, payload in self._hints.pop(holder, []):
-            copy = self._logs.get(owner, {}).get(holder)
-            if copy is not None:
-                copy.append_at(lsn, payload)
+        for log in self._logs.values():
+            for lsn, payload in log.hints.pop(holder, []):
+                log.adopt(holder, lsn, payload)
                 self.metrics.counter("cluster.failover.hints_delivered").inc()
 
     def torn_tail(self, owner: str, nbytes: int) -> None:
         """Tear the owner's primary copy (crash mid-write)."""
-        self._copies(owner)[owner].corrupt_tail(nbytes)
+        self._log(owner).tear(nbytes)
 
     # -- recovery primitives ------------------------------------------------
 
     def union(self, owner: str) -> list[WalEntry]:
-        """LSN-union of every copy's valid prefix, sorted by LSN.
-
-        Tolerates torn tails (each copy contributes only its valid prefix)
-        and per-copy holes (another copy fills them); an LSN no copy holds
-        is genuinely lost and simply absent.
-        """
-        merged: dict[int, WalEntry] = {}
-        for copy in self._copies(owner).values():
-            for entry in copy.replay():
-                merged.setdefault(entry.lsn, entry)
-        return [merged[lsn] for lsn in sorted(merged)]
+        """LSN-union of every copy's valid prefix, sorted by LSN."""
+        return self._log(owner).union()
 
     def last_valid_lsn(self, owner: str, holder: str) -> int:
-        return self._copies(owner)[holder].last_valid_lsn
+        return self.copy(owner, holder).last_valid_lsn
+
+    def restore_primary(self, owner: str, entries: list[WalEntry]) -> None:
+        """Continue ``owner``'s primary from ``entries`` (promotion), so
+        new LSNs extend — never collide with — what replicas hold."""
+        self._log(owner).rebuild([owner], entries)
 
     def sync_owner(self, owner: str) -> bool:
-        """One anti-entropy round for ``owner``'s copies.
-
-        Compares each copy's Merkle root against the root of the LSN-union;
-        any disagreement rebuilds every copy from the union.  Returns True
-        when a repair was performed (i.e. the copies had diverged).
-        """
-        entries = self.union(owner)
-        target = _merkle_root(entries)
-        copies = self._copies(owner)
-        diverged = any(
-            _merkle_root(copy.recover_prefix()[0]) != target
-            for copy in copies.values()
-        )
+        """One anti-entropy round: when any copy's Merkle root differs from
+        the LSN-union's, rebuild every copy from the union; returns True
+        when the copies had diverged."""
+        log = self._log(owner)
+        entries = log.union()
+        diverged = log.diverged(log.copies, entries)
         if diverged:
-            for copy in copies.values():
-                copy.rebuild(entries)
+            log.rebuild(log.copies, entries)
             self.metrics.counter("cluster.failover.antientropy_repairs").inc()
         return diverged
 
@@ -336,7 +261,7 @@ class ShardReplicator:
 
     def entry_count(self, owner: str) -> int:
         """Intact entries in ``owner``'s primary log copy."""
-        return self._copies(owner)[owner].entry_count
+        return len(self._log(owner).lsns)
 
     def should_compact(self, owner: str, threshold: int) -> bool:
         """True when the primary copy has outgrown both the configured
@@ -347,24 +272,16 @@ class ShardReplicator:
         return self.entry_count(owner) > floor
 
     def compact(self, owner: str) -> int:
-        """Compact every *up* holder's copy of ``owner``'s log in place.
-
-        Down holders are skipped — their copies (and any torn tails from a
-        crash) are untouched, so the union a later promotion replays still
-        sees exactly what PR 4's semantics promise; they reconverge via
-        anti-entropy when they return.  Returns total entries removed
-        across copies.
-        """
-        removed = 0
-        for holder, copy in self._copies(owner).items():
-            if holder in self._down:
-                continue
-            entries, _ = copy.recover_prefix()
-            compacted = compact_entries(entries)
-            if len(compacted) < len(entries):
-                copy.rebuild(compacted)
-                removed += len(entries) - len(compacted)
-        self._last_compacted[owner] = self.entry_count(owner)
+        """Compact every *up* holder's copy of ``owner``'s log; returns
+        the entries removed.  Down holders' copies (torn tails included)
+        stay as they are for a later promotion's union, and reconverge via
+        anti-entropy when they return."""
+        log = self._log(owner)
+        removed = sum(
+            log.compact(holder) for holder in log.copies
+            if holder not in self._down
+        )
+        self._last_compacted[owner] = len(log.lsns)
         if removed:
             self.metrics.counter("cluster.failover.log_compactions").inc()
             self.metrics.counter(
@@ -376,29 +293,11 @@ class ShardReplicator:
 
     def latest_value(self, owner: str, key: str):
         """Last logged entity value for ``key`` (None if absent/dropped)."""
-        for entry in reversed(self.union(owner)):
-            op = json.loads(entry.payload.decode("utf-8"))
-            if op.get("k") != key:
-                continue
-            if op["op"] == "entity":
-                return op["v"]
-            if op["op"] == "drop_entity":
-                return None
-        return None
+        return fold(self.union(owner), keys={key}).entity(key)
 
     def latest_stock(self, owner: str, product_id: str) -> int | None:
         """Last logged stock level for ``product_id`` (None if unknown)."""
-        for entry in reversed(self.union(owner)):
-            op = json.loads(entry.payload.decode("utf-8"))
-            if op.get("k") != product_id:
-                continue
-            if op["op"] == "stock":
-                return int(op["stock"])
-            if op["op"] == "product":
-                return int(op["v"].get("stock", 0))
-            if op["op"] == "drop_product":
-                return None
-        return None
+        return fold(self.union(owner), keys={product_id}).stock(product_id)
 
 
 class FailoverManager:
@@ -508,30 +407,16 @@ class FailoverManager:
     # -- the write-path hooks (called by PlatformCluster) --------------------
 
     def log_entity(self, owner: str, key: str, value) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "entity", "k": key, "v": value}
-        )
+        return self.replicator.log_op(owner, entity_op(key, value))
 
     def log_drop_entity(self, owner: str, key: str) -> int:
-        return self.replicator.log_op(owner, {"op": "drop_entity", "k": key})
+        return self.replicator.log_op(owner, drop_entity_op(key))
 
     def log_product(self, owner: str, product_id: str, value: dict) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "product", "k": product_id, "v": dict(value)}
-        )
+        return self.replicator.log_op(owner, product_op(product_id, value))
 
     def log_stock(self, owner: str, product_id: str, stock: int) -> int:
-        return self.replicator.log_op(
-            owner, {"op": "stock", "k": product_id, "stock": int(stock)}
-        )
-
-    # -- replica-side serving ----------------------------------------------
-
-    def replica_value(self, owner: str, key: str):
-        return self.replicator.latest_value(owner, key)
-
-    def replica_stock(self, owner: str, product_id: str) -> int | None:
-        return self.replicator.latest_stock(owner, product_id)
+        return self.replicator.log_op(owner, stock_op(product_id, stock))
 
     # -- crash entry point ---------------------------------------------------
 
@@ -607,9 +492,7 @@ class FailoverManager:
             entries = self.replicator.union(name)
             platform = self.cluster._make_shard()
             self._replay(platform, entries)
-            # Continue the primary copy from the union so new LSNs extend
-            # (never collide with) what the replicas already hold.
-            self.replicator._copies(name)[name].rebuild(entries)
+            self.replicator.restore_primary(name, entries)
             self.cluster.install_shard(name, platform)
         self._state[name] = RECOVERING
         self.replicator.mark_up(name)  # node is back: deliver its hints
@@ -631,26 +514,20 @@ class FailoverManager:
     def _replay(platform: "MetaversePlatform", entries: list[WalEntry]) -> None:
         """Apply the logged post-states to a fresh shard platform.
 
-        Products fold in memory first (stock ops are absolute levels, and
-        one MVCC commit per product beats one per op), entities import
-        directly.
+        Entities import in log order as the fold meets them; products fold
+        in memory first (stock ops are absolute levels, and one MVCC
+        commit per product beats one per op).
         """
-        products: dict[str, dict] = {}
-        for entry in entries:
-            op = json.loads(entry.payload.decode("utf-8"))
-            kind = op["op"]
-            if kind == "entity":
-                platform.import_entity(op["k"], op["v"])
-            elif kind == "drop_entity":
-                platform.drop_entity(op["k"])
-            elif kind == "product":
-                products[op["k"]] = dict(op["v"])
-            elif kind == "drop_product":
-                products.pop(op["k"], None)
-            elif kind == "stock":
-                products.setdefault(op["k"], {})["stock"] = int(op["stock"])
-        for product_id, value in products.items():
-            platform.import_product(product_id, value)
+
+        def entity(key: str, value) -> None:
+            if value is DROPPED:
+                platform.drop_entity(key)
+            else:
+                platform.import_entity(key, value)
+
+        for product_id, value in fold(entries, on_entity=entity).products.items():
+            if value is not DROPPED:
+                platform.import_product(product_id, value)
 
     def _compact_logs(self) -> None:
         if self.compact_threshold is None:

@@ -36,7 +36,6 @@ anti-entropy until every copy reconverges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..api.dataplane import GatherResult
@@ -71,6 +70,16 @@ from ..query.plane import (
 )
 from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.policies import CircuitBreaker, RetryPolicy, Timeout
+from ..storage.replica_log import (
+    DROPPED,
+    Fold,
+    decode,
+    entity_op,
+    fold,
+    op_key,
+    product_op,
+    stock_op,
+)
 from ..workloads.marketplace import PurchaseRequest
 from .replication import GeoReplicator
 
@@ -446,7 +455,7 @@ class GeoDeployment:
         if op is None:
             return
         applied = self._applied_lsn.setdefault((home, dst), {})
-        key = op.get("k")
+        key = op_key(op)
         if lsn <= applied.get(key, -1):
             # An entry that arrived behind a newer post-state for the same
             # key: keep it in the copy log (no hole) but do not let it
@@ -454,63 +463,49 @@ class GeoDeployment:
             self.metrics.counter("geo.repl.out_of_order").inc()
             return
         applied[key] = lsn
-        self._apply_op(dst, home, op)
+        self._apply_op(dst, home, lsn, op)
 
-    def _apply_op(self, region: str, home: str, op: dict) -> None:
-        """Fold one home-log op into ``region``'s replica state."""
-        key = op.get("k")
-        if self.home_of(key) != home:
+    def _apply_op(self, region: str, home: str, lsn: int, op: dict) -> None:
+        """Fold one home-log op into ``region``'s replica state; a stock
+        level lands on the region's live committed product."""
+        if self.home_of(op_key(op)) != home:
             # The key re-homed after this op was logged; the new home's
             # log is authoritative and will overwrite.
             self.metrics.counter("geo.repl.stale_ignored").inc()
             return
-        cluster = self._clusters[region]
-        shard = cluster.shards[cluster.router.owner_of(key)]
-        kind = op.get("op")
-        if kind == "entity":
-            shard.import_entity(key, op["v"])
-        elif kind == "drop_entity":
-            try:
-                shard.drop_entity(key)
-            except KeyNotFoundError:
-                pass
-        elif kind == "product":
-            shard.import_product(key, dict(op["v"]))
-        elif kind == "drop_product":
-            try:
-                shard.drop_product(key)
-            except KeyNotFoundError:
-                pass
-        elif kind == "stock":
-            value = cluster._committed_product(key)
-            value = dict(value) if value is not None else {}
-            value["stock"] = int(op["stock"])
-            shard.import_product(key, value)
+        state = Fold(base=self._clusters[region]._committed_product)
+        state.add(lsn, op)
+        self._install(region, home, state)
         self.metrics.counter("geo.repl.applied").inc()
 
     def _on_stock_commit(self, region: str, product_id: str, stock: int) -> None:
-        self._replicate(region, {"op": "stock", "k": product_id, "stock": int(stock)})
+        self._replicate(region, stock_op(product_id, stock))
 
     # -- hinted handoff / anti-entropy -------------------------------------
 
+    def _open_pairs(self, wanted=None):
+        """(home, destination) pairs the WAN reaches this round; each
+        reachable pair (that ``wanted`` accepts) draws one ``geo.wan``
+        partition decision first."""
+        for home, dst in self.replicator.pairs():
+            if wanted is not None and not wanted(home, dst):
+                continue
+            if not self._wan_reachable(home, dst):
+                continue
+            decision = self.faults.decide(
+                "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
+            )
+            if decision.kind != "partition":
+                yield home, dst
+
     def _deliver_hints(self) -> None:
-        for home in self.config.regions:
-            for dst in self.config.regions:
-                if dst == home or not self.replicator.has_hints(home, dst):
-                    continue
-                if not self._wan_reachable(home, dst):
-                    continue
-                decision = self.faults.decide(
-                    "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
-                )
-                if decision.kind == "partition":
-                    continue
-                delivered = 0
-                for lsn, payload in self.replicator.take_hints(home, dst):
-                    if self._ship_now(home, dst, lsn, payload):
-                        delivered += 1
-                if delivered:
-                    self.metrics.counter("geo.repl.hints_delivered").inc(delivered)
+        for home, dst in self._open_pairs(self.replicator.has_hints):
+            delivered = 0
+            for lsn, payload in self.replicator.take_hints(home, dst):
+                if self._ship_now(home, dst, lsn, payload):
+                    delivered += 1
+            if delivered:
+                self.metrics.counter("geo.repl.hints_delivered").inc(delivered)
 
     def _antientropy_round(self) -> None:
         """Reconverge every reachable (home, destination) pair.
@@ -520,77 +515,40 @@ class GeoDeployment:
         in LSN order over the whole copy for just the affected keys — so
         repairing an old hole can never regress a newer applied state.
         """
-        for home in self.config.regions:
-            if home in self._down:
-                continue
-            for dst in self.config.regions:
-                if dst == home or dst in self._down:
-                    continue
-                if not self._wan_reachable(home, dst):
-                    continue
-                decision = self.faults.decide(
-                    "geo.wan", target=f"{home}->{dst}", kinds=("partition",)
-                )
-                if decision.kind == "partition":
-                    continue
-                missing = self.replicator.antientropy(home, dst)
-                if missing:
-                    self._apply_folded(dst, home, missing)
+        for home, dst in self._open_pairs():
+            missing = self.replicator.antientropy(home, dst)
+            if missing:
+                self._apply_folded(dst, home, missing)
 
     def _apply_folded(self, region: str, home: str, missing: list) -> None:
-        affected = {
-            json.loads(payload.decode("utf-8")).get("k") for _, payload in missing
-        }
-        entity_final: dict[str, tuple] = {}
-        product_final: dict[str, dict | None] = {}
+        affected = {op_key(decode(payload)) for _, payload in missing}
+        state = fold(self.replicator.copy_entries(home, region), keys=affected)
         applied = self._applied_lsn.setdefault((home, region), {})
-        for entry in self.replicator.copy_entries(home, region):
-            op = json.loads(entry.payload.decode("utf-8"))
-            key = op.get("k")
-            if key not in affected:
-                continue
-            applied[key] = max(applied.get(key, -1), entry.lsn)
-            kind = op.get("op")
-            if kind == "entity":
-                entity_final[key] = ("set", op["v"])
-            elif kind == "drop_entity":
-                entity_final[key] = ("drop", None)
-            elif kind == "product":
-                product_final[key] = dict(op["v"])
-            elif kind == "drop_product":
-                product_final[key] = None
-            elif kind == "stock":
-                base = product_final.get(key)
-                base = dict(base) if base else {}
-                base["stock"] = int(op["stock"])
-                product_final[key] = base
+        for key, lsn in state.lsns.items():
+            applied[key] = max(applied.get(key, -1), lsn)
+        self._install(region, home, state)
+
+    def _install(self, region: str, home: str, state: Fold) -> None:
+        """Write folded final states into ``region``'s shards, entities
+        then products, each in key order; keys re-homed since are left
+        to their new home's log."""
         cluster = self._clusters[region]
-        for key in sorted(entity_final):
-            if self.home_of(key) != home:
-                self.metrics.counter("geo.repl.stale_ignored").inc()
-                continue
-            action, value = entity_final[key]
-            shard = cluster.shards[cluster.router.owner_of(key)]
-            if action == "set":
-                shard.import_entity(key, value)
-            else:
-                try:
-                    shard.drop_entity(key)
-                except KeyNotFoundError:
-                    pass
-        for key in sorted(product_final):
-            if self.home_of(key) != home:
-                self.metrics.counter("geo.repl.stale_ignored").inc()
-                continue
-            value = product_final[key]
-            shard = cluster.shards[cluster.router.owner_of(key)]
-            if value is None:
-                try:
-                    shard.drop_product(key)
-                except KeyNotFoundError:
-                    pass
-            else:
-                shard.import_product(key, dict(value))
+        for states, put, drop in (
+            (state.entities, "import_entity", "drop_entity"),
+            (state.products, "import_product", "drop_product"),
+        ):
+            for key in sorted(states):
+                if self.home_of(key) != home:
+                    self.metrics.counter("geo.repl.stale_ignored").inc()
+                    continue
+                shard = cluster.shards[cluster.router.owner_of(key)]
+                if states[key] is DROPPED:
+                    try:
+                        getattr(shard, drop)(key)
+                    except KeyNotFoundError:
+                        pass
+                else:
+                    getattr(shard, put)(key, states[key])
 
     # -- writes ------------------------------------------------------------
 
@@ -615,9 +573,7 @@ class GeoDeployment:
                 self._wan_rpc(submitted, home)
                 self.metrics.counter("geo.writes.forwarded").inc()
         self._clusters[home].write_record(record)
-        lsn = self._replicate(
-            home, {"op": "entity", "k": record.key, "v": stored_record_value(record)}
-        )
+        lsn = self._replicate(home, entity_op(record.key, stored_record_value(record)))
         if session is not None:
             session.observe(home, lsn)
         self.metrics.counter("geo.writes").inc()
@@ -649,9 +605,7 @@ class GeoDeployment:
             batch = by_home[home]
             self._clusters[home].load_catalog(batch)
             for record in batch:
-                self._replicate(
-                    home, {"op": "product", "k": record.key, "v": dict(record.payload)}
-                )
+                self._replicate(home, product_op(record.key, record.payload))
 
     def process_purchases(
         self, requests: list[PurchaseRequest], max_retries: int = 2
@@ -823,12 +777,12 @@ class GeoDeployment:
                 raise KeyNotFoundError(key)
             dst.shards[dst.router.owner_of(key)].import_product(key, dict(value))
             self._home_override[key] = to_region
-            self._replicate(to_region, {"op": "product", "k": key, "v": dict(value)})
+            self._replicate(to_region, product_op(key, value))
         else:
             value = src.shards[src.router.owner_of(key)].export_entity(key)
             dst.shards[dst.router.owner_of(key)].import_entity(key, value)
             self._home_override[key] = to_region
-            self._replicate(to_region, {"op": "entity", "k": key, "v": value})
+            self._replicate(to_region, entity_op(key, value))
         # The old home keeps its copy as a plain replica; ops still in its
         # log for this key are ignored at apply time (home guard), and the
         # new home's full-state op overwrites every copy.
@@ -904,18 +858,13 @@ class GeoDeployment:
     def _refresh_gauges(self) -> None:
         now = self.clock.now
         max_lag, max_stale = 0, 0.0
-        for home in self.config.regions:
-            for dst in self.config.regions:
-                if dst == home:
-                    continue
-                lag = self.replicator.lag(home, dst)
-                stale = self.replicator.staleness_s(home, dst, now)
-                self.metrics.gauge(f"geo.replication.lag.{home}.{dst}").set(float(lag))
-                self.metrics.gauge(
-                    f"geo.replication.staleness_s.{home}.{dst}"
-                ).set(stale)
-                max_lag = max(max_lag, lag)
-                max_stale = max(max_stale, stale)
+        for home, dst in self.replicator.pairs():
+            lag = self.replicator.lag(home, dst)
+            stale = self.replicator.staleness_s(home, dst, now)
+            self.metrics.gauge(f"geo.replication.lag.{home}.{dst}").set(float(lag))
+            self.metrics.gauge(f"geo.replication.staleness_s.{home}.{dst}").set(stale)
+            max_lag = max(max_lag, lag)
+            max_stale = max(max_stale, stale)
         self.metrics.gauge("geo.replication.lag_max").set(float(max_lag))
         self.metrics.gauge("geo.replication.staleness_s_max").set(max_stale)
 
@@ -1047,12 +996,7 @@ class GeoDeployment:
 
     def replication_lag(self) -> dict[tuple[str, str], int]:
         """Outstanding entries per (home, destination) pair."""
-        return {
-            (home, dst): self.replicator.lag(home, dst)
-            for home in self.config.regions
-            for dst in self.config.regions
-            if dst != home
-        }
+        return {pair: self.replicator.lag(*pair) for pair in self.replicator.pairs()}
 
     def max_replication_lag(self) -> int:
         return max(self.replication_lag().values(), default=0)

@@ -1,38 +1,47 @@
 """Cross-region replication logs: async shipping of absolute post-states.
 
 Each region is the *home* (primary) for the keys it owns on the region
-ring.  The home region appends every mutation to its primary
-:class:`~repro.storage.wal.WriteAheadLog` as the same absolute
-post-state op dicts :class:`~repro.cluster.failover.ShardReplicator`
-uses (``entity``/``drop_entity``/``product``/``drop_product``/``stock``,
-JSON-encoded with sorted keys); every other region holds a copy that
-adopts the primary's LSNs verbatim via ``append_at``, so a replication
-message lost on the WAN stays visible as an LSN hole instead of being
-silently renumbered.
+ring.  :class:`GeoReplicator` is the geo placement of
+:class:`~repro.storage.replica_log.ReplicaLog`, which owns the op format,
+the fold and compaction: each home has one replica log whose primary
+assigns LSNs and whose per-region copies adopt them verbatim, so a
+replication message lost on the WAN stays visible as an LSN hole instead
+of being silently renumbered.
 
-:class:`GeoReplicator` owns only the *logs and their bookkeeping* —
-contiguous-prefix watermarks per (home, destination) pair, outstanding
-entry counts (replication lag), log-time stamps (staleness in simulated
-seconds), hinted handoff buffers for unreachable destinations, Merkle
-anti-entropy diffs, and :func:`~repro.cluster.failover.compact_entries`
-compaction.  Shipping entries over the simulated WAN and applying ops to
-region clusters is the deployment's job (:mod:`repro.geo.deployment`),
-which keeps this class deterministic and network-free.
+The placement adds only geo policy — contiguous-prefix watermarks per
+(home, destination) pair, outstanding entry counts (replication lag),
+log-time stamps (staleness in simulated seconds), primary-as-truth
+anti-entropy, and a ``>= compact_threshold`` compaction trigger.
+Shipping entries over the simulated WAN and applying ops to region
+clusters is the deployment's job (:mod:`repro.geo.deployment`), which
+keeps this class deterministic and network-free.
 """
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass, field
 
-from ..cluster.failover import _merkle_root, compact_entries
 from ..core.metrics import MetricsRegistry
-from ..storage.wal import WriteAheadLog
+from ..storage.replica_log import ReplicaLog, decode
 
 __all__ = ["GeoReplicator"]
 
 
+@dataclass
+class _Feed:
+    """One destination's progress through a home's primary log."""
+
+    received: set[int] = field(default_factory=set)  # LSNs adopted
+    idx: int = 0  # primary LSNs before this index are all adopted
+    outstanding: int = 0  # primary entries not yet adopted (the lag)
+
+    def advance(self, lsns: list[int]) -> None:
+        while self.idx < len(lsns) and lsns[self.idx] in self.received:
+            self.idx += 1
+
+
 class GeoReplicator:
-    """Per-home replicated op logs with watermarks, hints, anti-entropy."""
+    """Per-home replica logs with watermarks, hints, anti-entropy."""
 
     def __init__(
         self,
@@ -43,54 +52,34 @@ class GeoReplicator:
         self.regions = tuple(regions)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.compact_threshold = compact_threshold
-        self._primary = {home: WriteAheadLog() for home in self.regions}
-        self._copies = {
-            home: {dst: WriteAheadLog() for dst in self.regions if dst != home}
+        self._logs = {
+            home: ReplicaLog(home, [dst for dst in self.regions if dst != home])
             for home in self.regions
         }
-        #: LSNs each destination has adopted from each home's primary.
-        self._received: dict[str, dict[str, set[int]]] = {
-            home: {dst: set() for dst in self.regions if dst != home}
-            for home in self.regions
+        self._feeds = {
+            home: {dst: _Feed() for dst in log.replicas}
+            for home, log in self._logs.items()
         }
-        # Primary LSNs in append order (rebuilt on compaction) plus a set
-        # twin for O(1) membership — watermark/lag bookkeeping walks these
-        # instead of rescanning the log buffer.
-        self._primary_lsns: dict[str, list[int]] = {h: [] for h in self.regions}
+        # Set twin of each primary's LSN list, for O(1) membership.
         self._primary_set: dict[str, set[int]] = {h: set() for h in self.regions}
-        self._wm: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        self._wm_idx: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        #: Primary entries not yet adopted by the destination (the lag).
-        self._outstanding: dict[str, dict[str, int]] = {
-            home: {dst: 0 for dst in self.regions if dst != home}
-            for home in self.regions
-        }
-        #: Hinted handoff: entries bound for an unreachable destination,
-        #: buffered in ship order as ``(lsn, payload)``.
-        self._hints: dict[str, dict[str, list[tuple[int, bytes]]]] = {
-            home: {dst: [] for dst in self.regions if dst != home}
-            for home in self.regions
-        }
         #: Simulated log time per primary LSN, for staleness-in-seconds.
         self._logged_at: dict[str, dict[int, float]] = {h: {} for h in self.regions}
+
+    def pairs(self):
+        """Every (home, destination) pair, in region order."""
+        for home, feeds in self._feeds.items():
+            for dst in feeds:
+                yield home, dst
 
     # -- primary side ------------------------------------------------------
 
     def log_op(self, home: str, op: dict, now: float) -> tuple[int, bytes]:
         """Append ``op`` to ``home``'s primary log; return (lsn, payload)."""
-        payload = json.dumps(op, sort_keys=True).encode("utf-8")
-        lsn = self._primary[home].append(payload)
-        self._primary_lsns[home].append(lsn)
+        lsn, payload = self._logs[home].append(op)
         self._primary_set[home].add(lsn)
         self._logged_at[home][lsn] = now
-        for dst in self._outstanding[home]:
-            self._outstanding[home][dst] += 1
+        for feed in self._feeds[home].values():
+            feed.outstanding += 1
         self.metrics.counter("geo.repl.logged").inc()
         return lsn, payload
 
@@ -104,92 +93,75 @@ class GeoReplicator:
         rather than applied twice.  Returns the decoded op for the caller
         to apply to the destination's cluster state.
         """
-        received = self._received[home][dst]
-        if lsn in received:
+        feed = self._feeds[home][dst]
+        if lsn in feed.received:
             self.metrics.counter("geo.repl.duplicates").inc()
             return None
-        self._copies[home][dst].append_at(lsn, payload)
-        received.add(lsn)
+        self._logs[home].adopt(dst, lsn, payload)
+        feed.received.add(lsn)
         if lsn in self._primary_set[home]:
-            self._outstanding[home][dst] -= 1
-        self._advance_watermark(home, dst)
+            feed.outstanding -= 1
+        feed.advance(self._logs[home].lsns)
         self.metrics.counter("geo.repl.delivered").inc()
-        return json.loads(payload.decode("utf-8"))
-
-    def _advance_watermark(self, home: str, dst: str) -> None:
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        idx = self._wm_idx[home][dst]
-        while idx < len(lsns) and lsns[idx] in received:
-            self._wm[home][dst] = lsns[idx]
-            idx += 1
-        self._wm_idx[home][dst] = idx
+        return decode(payload)
 
     # -- lag / staleness ---------------------------------------------------
 
     def watermark(self, home: str, dst: str) -> int:
         """Highest LSN below which ``dst`` has every primary entry."""
-        return self._wm[home][dst]
+        idx = self._feeds[home][dst].idx
+        return self._logs[home].lsns[idx - 1] if idx else 0
 
     def high_water(self, home: str) -> int:
         """The primary's last assigned LSN (0 when nothing logged)."""
-        return self._primary[home].next_lsn - 1
+        return self._logs[home].primary.next_lsn - 1
 
     def lag(self, home: str, dst: str) -> int:
         """Primary entries not yet adopted by ``dst`` (0 = converged)."""
-        return self._outstanding[home][dst]
+        return self._feeds[home][dst].outstanding
 
     def staleness_s(self, home: str, dst: str, now: float) -> float:
         """Age (simulated seconds) of the oldest entry ``dst`` is missing."""
-        if self._outstanding[home][dst] == 0:
+        feed = self._feeds[home][dst]
+        lsns = self._logs[home].lsns
+        if feed.outstanding == 0 or feed.idx >= len(lsns):
             return 0.0
-        idx = self._wm_idx[home][dst]
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        while idx < len(lsns) and lsns[idx] in received:
-            idx += 1
-        if idx >= len(lsns):
-            return 0.0
-        return max(0.0, now - self._logged_at[home].get(lsns[idx], now))
+        return max(0.0, now - self._logged_at[home].get(lsns[feed.idx], now))
 
     # -- hinted handoff ----------------------------------------------------
 
     def buffer_hint(self, home: str, dst: str, lsn: int, payload: bytes) -> None:
         """Park an entry bound for an unreachable ``dst`` (ship order)."""
-        self._hints[home][dst].append((lsn, payload))
+        self._logs[home].hints.setdefault(dst, []).append((lsn, payload))
         self.metrics.counter("geo.repl.hints_buffered").inc()
 
     def has_hints(self, home: str, dst: str) -> bool:
-        return bool(self._hints[home][dst])
+        return bool(self._logs[home].hints.get(dst))
 
     def take_hints(self, home: str, dst: str) -> list[tuple[int, bytes]]:
         """Drain the hint buffer for re-shipping (caller re-buffers on
         failure, preserving order)."""
-        hints = self._hints[home][dst]
-        self._hints[home][dst] = []
-        return hints
+        return self._logs[home].hints.pop(dst, [])
 
     # -- anti-entropy ------------------------------------------------------
 
     def antientropy(self, home: str, dst: str) -> list[tuple[int, bytes]]:
         """Reconverge ``dst``'s copy with ``home``'s primary log.
 
-        Compares Merkle roots of the two valid prefixes; on divergence the
-        copy is rebuilt from the primary (the primary is authoritative
-        under the outage model — a home that accepted the write defines
-        the truth) and the entries ``dst`` had never adopted are returned
-        for the caller to apply to the destination cluster.  Pending hints
-        for the pair are dropped: the rebuild already covers them.
+        On a Merkle-root mismatch the copy is rebuilt from the primary (a
+        home that accepted the write defines the truth), its pending hints
+        are dropped, and the entries ``dst`` had never adopted are
+        returned for the caller to apply to the destination cluster.
         """
-        primary_entries, _ = self._primary[home].recover_prefix()
-        copy_entries, _ = self._copies[home][dst].recover_prefix()
-        if _merkle_root(primary_entries) == _merkle_root(copy_entries):
+        log = self._logs[home]
+        primary_entries = log.entries(home)
+        if not log.diverged([dst], primary_entries):
             return []
-        received = self._received[home][dst]
-        missing = [e for e in primary_entries if e.lsn not in received]
-        self._copies[home][dst].rebuild(primary_entries)
-        self._received[home][dst] = {e.lsn for e in primary_entries}
-        self._hints[home][dst] = []
+        feed = self._feeds[home][dst]
+        missing = [e for e in primary_entries if e.lsn not in feed.received]
+        log.rebuild([dst], primary_entries)
+        feed.received = {e.lsn for e in primary_entries}
+        log.hints.pop(dst, None)
         self._recompute(home, dst)
         self.metrics.counter("geo.antientropy.rounds").inc()
         self.metrics.counter("geo.antientropy.repaired_entries").inc(len(missing))
@@ -197,45 +169,30 @@ class GeoReplicator:
 
     def _recompute(self, home: str, dst: str) -> None:
         """Rebuild watermark/lag bookkeeping after a rebuild/compaction."""
-        lsns = self._primary_lsns[home]
-        received = self._received[home][dst]
-        wm, idx = 0, 0
-        while idx < len(lsns) and lsns[idx] in received:
-            wm = lsns[idx]
-            idx += 1
-        self._wm[home][dst] = wm
-        self._wm_idx[home][dst] = idx
-        self._outstanding[home][dst] = sum(
-            1 for lsn in lsns if lsn not in received
-        )
+        feed = self._feeds[home][dst]
+        lsns = self._logs[home].lsns
+        feed.idx = 0
+        feed.advance(lsns)
+        feed.outstanding = sum(1 for lsn in lsns if lsn not in feed.received)
 
     # -- compaction --------------------------------------------------------
 
     def should_compact(self, home: str) -> bool:
-        if self.compact_threshold is None:
-            return False
-        return len(self._primary_lsns[home]) >= self.compact_threshold
+        threshold = self.compact_threshold
+        return threshold is not None and len(self._logs[home].lsns) >= threshold
 
     def compact(self, home: str) -> int:
         """Collapse superseded post-states in ``home``'s primary and every
         copy (each compacted independently — a copy with holes may keep an
         op the primary dropped; the next anti-entropy round reconciles).
         Returns the number of primary entries removed."""
-        entries, _ = self._primary[home].recover_prefix()
-        kept = compact_entries(entries)
-        removed = len(entries) - len(kept)
-        self._primary[home].rebuild(kept)
-        self._primary_lsns[home] = [e.lsn for e in kept]
-        self._primary_set[home] = set(self._primary_lsns[home])
-        kept_times = {
-            lsn: t
-            for lsn, t in self._logged_at[home].items()
-            if lsn in self._primary_set[home]
-        }
-        self._logged_at[home] = kept_times
-        for dst, copy in self._copies[home].items():
-            copy_entries, _ = copy.recover_prefix()
-            copy.rebuild(compact_entries(copy_entries))
+        log = self._logs[home]
+        removed = log.compact(home)
+        self._primary_set[home] = set(log.lsns)
+        times = self._logged_at[home]
+        self._logged_at[home] = {lsn: times[lsn] for lsn in log.lsns}
+        for dst in log.replicas:
+            log.compact(dst)
             self._recompute(home, dst)
         self.metrics.counter("geo.repl.compactions").inc()
         self.metrics.counter("geo.repl.compacted_entries").inc(removed)
@@ -245,8 +202,8 @@ class GeoReplicator:
 
     def primary_entries(self, home: str):
         """Valid entries of ``home``'s primary log (tests, audits)."""
-        return self._primary[home].recover_prefix()[0]
+        return self._logs[home].entries(home)
 
     def copy_entries(self, home: str, dst: str):
         """Valid entries of ``dst``'s copy of ``home``'s log."""
-        return self._copies[home][dst].recover_prefix()[0]
+        return self._logs[home].entries(dst)

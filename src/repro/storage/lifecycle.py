@@ -21,9 +21,10 @@ than with *live state*.  Two mechanisms bound that growth:
   platform and cluster tick loops drive; ``storage.tier.*`` counters,
   gauges, and histograms expose every movement via :mod:`repro.obs`.
 
-The third lifecycle mechanism — replica-log compaction — lives with its
-data in :class:`repro.cluster.failover.ShardReplicator`; this module is
-the single-store half of the story.
+The third lifecycle mechanism — replica-log compaction — lives with the
+op-log format in :func:`repro.storage.replica_log.compact_entries`, which
+both the shard-failover and the geo-replication placements call; this
+module is the single-store half of the story.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.errors import TransactionAborted
+from ..core.errors import NetworkError
 from ..net.simnet import Message, SimulatedNetwork
 from ..resilience.policies import Timeout
 
@@ -170,9 +170,7 @@ class Coordinator:
                         "writes": txn.writes_by_participant[participant],
                     },
                 )
-            except TransactionAborted:  # pragma: no cover - defensive
-                unreachable.append(participant)
-            except Exception:
+            except NetworkError:
                 unreachable.append(participant)
         guard = self.timeout.guard(scheduler.clock, label="2pc.prepare")
         while (
@@ -199,7 +197,7 @@ class Coordinator:
         for participant in participants:
             try:
                 self.node.send(participant, decision_topic, {"txn_id": txn.txn_id})
-            except Exception:
+            except NetworkError:
                 pass
         guard = self.timeout.guard(scheduler.clock, label="2pc.decision")
         while (

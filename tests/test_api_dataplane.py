@@ -13,8 +13,6 @@ cluster, and a two-region geo deployment read through a
 identical items from all three.
 """
 
-import warnings
-
 import pytest
 
 from repro.api import DataPlane, GatherResult
@@ -176,22 +174,16 @@ class TestDeprecatedSurface:
             spatial_query(region)
         ).items
 
-    def test_legacy_kwargs_warn_and_build_equivalent_config(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            legacy = PlatformCluster(n_shards=2, n_storage_nodes=3)
-        assert legacy.config == ClusterConfig(n_shards=2, n_storage_nodes=3)
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                PlatformCluster(config=ClusterConfig(), n_shards=2)
-
-    def test_unknown_legacy_kwarg_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                PlatformCluster(no_such_knob=1)
+    def test_loose_shape_keywords_are_rejected(self):
+        """The loose-keyword constructor shim is gone: shape knobs go
+        through ``config=ClusterConfig(...)`` only."""
+        for kwargs in (
+            {"n_shards": 2},
+            {"config": ClusterConfig(), "n_shards": 2},
+            {"no_such_knob": 1},
+        ):
+            with pytest.raises(TypeError):
+                PlatformCluster(**kwargs)
 
 
 # -- query-plane conformance across deployment layers -----------------------

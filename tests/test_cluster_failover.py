@@ -11,7 +11,7 @@ a single purchase (the exactly-once bar experiment E25 measures).
 
 import pytest
 
-from repro.cluster import PlatformCluster, ShardReplicator, ShardRouter
+from repro.cluster import ClusterConfig, PlatformCluster, ShardReplicator, ShardRouter
 from repro.cluster.failover import DOWN, RECOVERING, UP, FailureDetector
 from repro.core import ConfigurationError, DataKind, DataRecord, Space
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
@@ -29,11 +29,13 @@ def record(key, payload, timestamp=0.0):
     )
 
 
-def failover_cluster(n_shards=4, phi_threshold=4.0, faults=None, **kwargs):
+def failover_cluster(n_shards=4, phi_threshold=4.0, faults=None):
     """A cluster with failover on and a detection delay of ~10 ticks."""
     return PlatformCluster(
-        n_shards=n_shards, n_replicas=2, phi_threshold=phi_threshold,
-        faults=faults, **kwargs,
+        config=ClusterConfig(
+            n_shards=n_shards, n_replicas=2, phi_threshold=phi_threshold
+        ),
+        faults=faults,
     )
 
 
@@ -132,7 +134,7 @@ class TestReplication:
         rep.log_op(owner, {"op": "entity", "k": "k2", "v": 2})  # dropped
         rep.faults = None
         rep.log_op(owner, {"op": "entity", "k": "k3", "v": 3})
-        copy = rep._logs[owner][holder]
+        copy = rep.copy(owner, holder)
         assert [e.lsn for e in copy.replay()] == [1, 3]  # the hole shows
         assert rep.metrics.counter(
             "cluster.failover.replication_dropped"
@@ -196,8 +198,8 @@ class TestHintedHandoff:
 
 
 class TestKillAndPromotion:
-    def seeded(self, **kwargs):
-        cluster = failover_cluster(**kwargs)
+    def seeded(self):
+        cluster = failover_cluster()
         for i in range(40):
             cluster.ingest(record(f"e/{i:03d}", {"v": i}))
         cluster.flush()
@@ -205,11 +207,11 @@ class TestKillAndPromotion:
 
     def test_kill_requires_failover_enabled(self):
         with pytest.raises(ConfigurationError):
-            PlatformCluster(n_shards=2).kill_shard("shard-0")
+            PlatformCluster(config=ClusterConfig(n_shards=2)).kill_shard("shard-0")
 
     def test_replica_count_bounded_by_shards(self):
         with pytest.raises(ConfigurationError):
-            PlatformCluster(n_shards=2, n_replicas=3)
+            PlatformCluster(config=ClusterConfig(n_shards=2, n_replicas=3))
 
     def test_kill_is_not_reentrant(self):
         cluster = self.seeded()
@@ -277,6 +279,57 @@ class TestKillAndPromotion:
         for key in late:
             assert cluster.read(key)["payload"] == {"late": True}
 
+    def test_primary_count_tracks_the_primary_wal(self):
+        """The replicator counts each primary without scanning it; after
+        every step that rewrites a primary — log, torn tail, promotion,
+        anti-entropy repair, compaction, resync — the count must equal
+        the primary WAL's intact prefix."""
+        cluster = PlatformCluster(config=ClusterConfig(
+            n_shards=4, n_replicas=2, phi_threshold=4.0,
+            replica_log_compact_threshold=16,
+        ))
+        rep = cluster.failover.replicator
+        metrics = cluster.metrics
+        victim = "shard-2"
+
+        def assert_counts_match():
+            for owner in cluster.router.shards:
+                primary = rep.copy(owner, owner)
+                assert rep.entry_count(owner) == len(primary.recover_prefix()[0])
+
+        keys, owned = keys_owned_by(cluster, victim)
+        for i, key in enumerate(keys):
+            cluster.write_record(record(key, {"v": i}))
+        assert_counts_match()
+        # A replication hole in the victim's replica, for anti-entropy.
+        holder = rep.holders(victim)[1]
+        rep.faults = FaultInjector(FaultPlan(rules=[
+            FaultRule(site="cluster.replicate", kind="drop", rate=1.0,
+                      target=f"{victim}->{holder}"),
+        ]))
+        cluster.write_record(record(owned[0], {"v": -1}))
+        rep.faults = None
+        cluster.write_record(record(owned[-1], {"v": -2}))  # the torn one
+        cluster.kill_shard(victim, torn_tail_bytes=5)
+        assert_counts_match()
+        while cluster.failover.state(victim) != RECOVERING:
+            cluster.tick(TICK)
+        assert_counts_match()
+        tick_until_up(cluster, victim)
+        assert metrics.counter("cluster.failover.antientropy_repairs").value >= 1
+        assert_counts_match()
+        compactions = metrics.counter("cluster.failover.log_compactions").value
+        for round_ in range(5):
+            for key in keys:
+                cluster.write_record(record(key, {"v": round_}))
+        cluster.tick(TICK)
+        assert metrics.counter(
+            "cluster.failover.log_compactions"
+        ).value > compactions
+        assert_counts_match()
+        cluster.add_shard("joiner")
+        assert_counts_match()
+
     def test_gather_skips_down_shard_and_reports_it(self):
         cluster = self.seeded()
         victim = "shard-0"
@@ -295,10 +348,10 @@ class TestKillAndPromotion:
 
 
 class TestMarketplaceDuringFailure:
-    def catalog_cluster(self, **kwargs):
+    def catalog_cluster(self):
         config = FlashSaleConfig(n_products=20, initial_stock=10)
         workload = MarketplaceWorkload(config, seed=1)
-        cluster = failover_cluster(**kwargs)
+        cluster = failover_cluster()
         cluster.load_catalog(workload.catalog_records())
         pids = [workload.product_id(i) for i in range(20)]
         return cluster, workload, pids

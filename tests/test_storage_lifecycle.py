@@ -36,7 +36,7 @@ from repro.storage import (
     WalEntry,
     WriteAheadLog,
 )
-from repro.cluster.failover import compact_entries
+from repro.storage.replica_log import DROPPED, compact_entries, fold
 
 pytestmark = [pytest.mark.lifecycle]
 
@@ -170,7 +170,8 @@ def _encode(op: dict) -> bytes:
 
 
 def _fold(entries):
-    """Reference replay fold — mirrors FailoverManager._replay exactly."""
+    """Reference replay fold — the oracle the shared
+    ``repro.storage.replica_log.fold`` is checked against."""
     entities: dict[str, object] = {}
     products: dict[str, dict] = {}
     for entry in sorted(entries, key=lambda e: e.lsn):
@@ -189,6 +190,18 @@ def _fold(entries):
     return json.dumps({"e": entities, "p": products}, sort_keys=True)
 
 
+def _shared_fold(entries):
+    """The shared fold, rendered in the reference's shape."""
+    state = fold(sorted(entries, key=lambda e: e.lsn))
+
+    def live(states):
+        return {k: v for k, v in states.items() if v is not DROPPED}
+
+    return json.dumps(
+        {"e": live(state.entities), "p": live(state.products)}, sort_keys=True
+    )
+
+
 def _union(copies):
     merged = {}
     for copy in copies:
@@ -201,6 +214,7 @@ replica_ops = st.lists(
     st.one_of(
         st.tuples(st.just("entity"), keys, values),
         st.tuples(st.just("drop_entity"), keys, st.none()),
+        st.tuples(st.just("drop_product"), keys, st.none()),
         st.tuples(
             st.just("product"),
             keys,
@@ -247,6 +261,7 @@ class TestCompactionPreservesUnion:
         primary_prefix = primary[: max(0, len(primary) - torn)]
         copies = [primary_prefix, replica]
         baseline = _fold(_union(copies))
+        assert _shared_fold(_union(copies)) == baseline
         # Compact every subset of copies; the fold must never move.
         for mask in range(1, 4):
             compacted = [
@@ -254,6 +269,7 @@ class TestCompactionPreservesUnion:
                 for i, copy in enumerate(copies)
             ]
             assert _fold(_union(compacted)) == baseline
+            assert _shared_fold(_union(compacted)) == baseline
         # Compaction is idempotent and only ever shrinks.
         once = compact_entries(primary_prefix)
         assert compact_entries(once) == once
@@ -281,6 +297,21 @@ class TestCompactionPreservesUnion:
         alien = WalEntry(lsn=7, payload=_encode({"op": "future", "k": "z"}))
         entries = _materialize([("entity", "a", 1)]) + [alien]
         assert alien in compact_entries(entries)
+
+    def test_recreated_product_folds_last(self):
+        """A product dropped and set again moves to the end, as a dict
+        delete + insert would: replay commits products in this order."""
+        entries = _materialize([
+            ("product", "a", {"name": "a", "stock": 1}),
+            ("product", "b", {"name": "b", "stock": 1}),
+            ("drop_product", "a", None),
+            ("stock", "c", 4),
+            ("stock", "a", 2),
+        ])
+        state = fold(entries)
+        assert list(state.products) == ["b", "c", "a"]
+        assert state.products["a"] == {"stock": 2}
+        assert state.lsns == {"a": 5, "b": 2, "c": 4}
 
 
 # -- property: tier round trips are bitwise -----------------------------------

@@ -83,6 +83,19 @@ class TestAbortPaths:
         assert "unreachable" in outcome.reason
         assert participants["dc-0"].data == {}
 
+    def test_non_network_send_error_propagates(self, monkeypatch):
+        """Only a network failure makes a participant "unreachable"; any
+        other error out of ``send`` is a bug and must surface, not turn
+        into an abort."""
+        _, network, coordinator, _ = build()
+
+        def broken_send(*args, **kwargs):
+            raise RuntimeError("bug in send")
+
+        monkeypatch.setattr(network, "send", broken_send)
+        with pytest.raises(RuntimeError, match="bug in send"):
+            coordinator.execute(DistributedTxn({"dc-0": {"x": 1}}))
+
     def test_abort_does_not_poison_future_txns(self):
         _, _, coordinator, participants = build()
         participants["dc-1"].fail_prepares = True
