@@ -148,18 +148,20 @@ class GeoReplicator:
     def antientropy(self, home: str, dst: str) -> list[tuple[int, bytes]]:
         """Reconverge ``dst``'s copy with ``home``'s primary log.
 
-        On a Merkle-root mismatch the copy is rebuilt from the primary (a
-        home that accepted the write defines the truth), its pending hints
-        are dropped, and the entries ``dst`` had never adopted are
-        returned for the caller to apply to the destination cluster.
+        The two copies' cached Merkle roots are compared first; only on a
+        mismatch is the primary read.  The copy is then rebuilt from the
+        primary (a home that accepted the write defines the truth), taking
+        a clone of the primary's digest, its pending hints are dropped,
+        and the entries ``dst`` had never adopted are returned for the
+        caller to apply to the destination cluster.
         """
         log = self._logs[home]
-        primary_entries = log.entries(home)
-        if not log.diverged([dst], primary_entries):
+        if log.root(dst) == log.root(home):
             return []
+        primary_entries = log.entries(home)
         feed = self._feeds[home][dst]
         missing = [e for e in primary_entries if e.lsn not in feed.received]
-        log.rebuild([dst], primary_entries)
+        log.rebuild([dst], primary_entries, source=home)
         feed.received = {e.lsn for e in primary_entries}
         log.hints.pop(dst, None)
         self._recompute(home, dst)

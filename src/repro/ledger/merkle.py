@@ -5,7 +5,9 @@ authenticated data structures such as the Merkle Tree, and transparency
 logs."  This is an RFC-6962-style (Certificate Transparency) Merkle tree
 over an append-only leaf sequence:
 
-* :meth:`MerkleTree.root` — the tree head over the current leaves;
+* :meth:`MerkleTree.root` — the tree head over the current leaves, folded
+  in O(log n) from the frontier of perfect-subtree roots that
+  :meth:`MerkleTree.append` keeps up to date (older heads are recomputed);
 * :meth:`MerkleTree.inclusion_proof` / :func:`verify_inclusion` — prove one
   leaf is covered by a head with an O(log n) audit path;
 * :meth:`MerkleTree.consistency_proof` / :func:`verify_consistency` — prove
@@ -76,6 +78,9 @@ class MerkleTree:
 
     def __init__(self) -> None:
         self._leaf_hashes: list[bytes] = []
+        # Roots of the perfect subtrees covering all leaves, largest first:
+        # one per set bit of the leaf count, highest bit first.
+        self._frontier: list[bytes] = []
 
     def __len__(self) -> int:
         return len(self._leaf_hashes)
@@ -84,15 +89,36 @@ class MerkleTree:
         """Append a leaf; returns its index."""
         if not isinstance(data, (bytes, bytearray)):
             raise LedgerError("leaf must be bytes")
-        self._leaf_hashes.append(_leaf_hash(bytes(data)))
-        return len(self._leaf_hashes) - 1
+        node = _leaf_hash(bytes(data))
+        index = len(self._leaf_hashes)
+        self._leaf_hashes.append(node)
+        # Each trailing 1-bit of the old count is a same-size subtree the
+        # new leaf completes, as in a binary-counter carry.
+        n = index
+        while n & 1:
+            node = _node_hash(self._frontier.pop(), node)
+            n >>= 1
+        self._frontier.append(node)
+        return index
 
     def root(self, tree_size: int | None = None) -> bytes:
         """Tree head over the first ``tree_size`` leaves (default: all)."""
         size = len(self._leaf_hashes) if tree_size is None else tree_size
         if not 0 <= size <= len(self._leaf_hashes):
             raise LedgerError(f"invalid tree_size {size}")
-        return _root_of(self._leaf_hashes[:size])
+        if size < len(self._leaf_hashes) or not self._frontier:
+            return _root_of(self._leaf_hashes[:size])
+        node = self._frontier[-1]
+        for left in reversed(self._frontier[:-1]):
+            node = _node_hash(left, node)
+        return node
+
+    def copy(self) -> "MerkleTree":
+        """An independent tree over the same leaves, without rehashing."""
+        clone = MerkleTree()
+        clone._leaf_hashes = list(self._leaf_hashes)
+        clone._frontier = list(self._frontier)
+        return clone
 
     # -- inclusion ------------------------------------------------------------
 

@@ -8,7 +8,9 @@ purchase) whose LSNs every other copy adopts verbatim.  Replaying
 absolute post-states is idempotent, so a promoted replica can never
 re-execute a purchase.  This module alone knows the op codec, the
 :class:`Fold` every replay and apply site calls, :func:`compact_entries`,
-the Merkle digest, and one owner's copy set (:class:`ReplicaLog`).
+the Merkle digest, and one owner's copy set (:class:`ReplicaLog`).  Each
+copy's digest is incremental: asking for its root hashes only the records
+written since the last time, and appending hashes nothing.
 Placement policy — who holds copies, when entries ship, which copy is the
 truth during repair, when to compact — belongs to the callers.
 """
@@ -16,6 +18,7 @@ truth during repair, when to compact — belongs to the callers.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..ledger.merkle import MerkleTree
@@ -166,12 +169,26 @@ def compact_entries(entries: list[WalEntry]) -> list[WalEntry]:
     return sorted(last.values(), key=lambda entry: entry.lsn)
 
 
+def _leaf(entry: WalEntry) -> bytes:
+    return f"{entry.lsn}:".encode("utf-8") + entry.payload
+
+
 def merkle_root(entries: list[WalEntry]) -> bytes:
     """RFC-6962 root over ``(lsn, payload)`` leaves, in the order given."""
     tree = MerkleTree()
     for entry in entries:
-        tree.append(f"{entry.lsn}:".encode("utf-8") + entry.payload)
+        tree.append(_leaf(entry))
     return tree.root()
+
+
+@dataclass
+class _Digest:
+    """The Merkle tree over one copy's valid records before byte
+    ``offset``, valid while the copy's WAL ``generation`` holds."""
+
+    generation: int
+    offset: int
+    tree: MerkleTree
 
 
 class ReplicaLog:
@@ -182,7 +199,8 @@ class ReplicaLog:
     leaves a visible LSN hole rather than a silent renumbering.  Entries
     bound for an unreachable holder wait in :attr:`hints`.  :attr:`lsns`
     lists the primary's intact LSNs in log order, so counting them needs
-    no scan.
+    no scan.  :meth:`root` keeps one digest per copy and brings it up to
+    date only when asked, so appends and adoptions stay hash-free.
     """
 
     def __init__(self, owner: str, replicas: Iterable[str]) -> None:
@@ -197,6 +215,7 @@ class ReplicaLog:
         #: replica holder -> ``(lsn, payload)`` bound for it, in ship order.
         self.hints: dict[str, list[tuple[int, bytes]]] = {}
         self.lsns: list[int] = []
+        self._digests: dict[str, _Digest] = {}
 
     def append(self, op: dict) -> tuple[int, bytes]:
         """Log ``op`` on the primary; returns ``(lsn, payload)``."""
@@ -227,15 +246,46 @@ class ReplicaLog:
                 merged.setdefault(entry.lsn, entry)
         return [merged[lsn] for lsn in sorted(merged)]
 
+    def root(self, holder: str) -> bytes:
+        """Merkle root of ``holder``'s valid prefix, equal to
+        ``merkle_root(self.entries(holder))``; hashes only the records
+        written since the last call."""
+        return self._digest(holder).tree.root()
+
+    def _digest(self, holder: str) -> _Digest:
+        copy = self.copies[holder]
+        digest = self._digests.get(holder)
+        if digest is None or digest.generation != copy.generation:
+            digest = _Digest(copy.generation, 0, MerkleTree())
+            self._digests[holder] = digest
+        entries, _, digest.offset = copy.scan_from(digest.offset)
+        for entry in entries:
+            digest.tree.append(_leaf(entry))
+        return digest
+
     def diverged(self, holders: Iterable[str], entries: list[WalEntry]) -> bool:
         """True when any holder's copy has a Merkle root other than
         ``entries``'."""
         target = merkle_root(entries)
-        return any(merkle_root(self.entries(h)) != target for h in holders)
+        return any(self.root(h) != target for h in holders)
 
-    def rebuild(self, holders: Iterable[str], entries: list[WalEntry]) -> None:
+    def rebuild(
+        self,
+        holders: Iterable[str],
+        entries: list[WalEntry],
+        source: str | None = None,
+    ) -> None:
+        """Replace each holder's copy with ``entries``.  When ``entries``
+        is ``source``'s valid prefix, each rebuilt copy takes a clone of
+        that copy's digest instead of hashing them again."""
+        tree = self._digest(source).tree if source is not None else None
         for holder in holders:
-            self.copies[holder].rebuild(entries)
+            copy = self.copies[holder]
+            copy.rebuild(entries)
+            if tree is not None:
+                self._digests[holder] = _Digest(
+                    copy.generation, len(copy), tree.copy()
+                )
             if holder == self.owner:
                 self.lsns = [entry.lsn for entry in entries]
 

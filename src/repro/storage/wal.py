@@ -11,7 +11,12 @@ and geo replication) additionally uses the log as its replication unit: the
 primary assigns LSNs and replicas adopt them verbatim via :meth:`append_at`,
 so a replica copy with holes (dropped replication messages) is
 distinguishable from a shorter-but-contiguous one, and Merkle anti-entropy
-can rebuild a damaged copy with :meth:`rebuild`.
+can rebuild a damaged copy with :meth:`rebuild`.  Its digests are
+incremental: :meth:`WriteAheadLog.scan_from` resumes a scan at the byte
+offset a previous scan stopped at, so only new records are read, and
+:attr:`WriteAheadLog.generation` moves whenever bytes already written
+change (rebuild, checkpoint truncation, a torn tail), telling a digest to
+start over.  Appends never move it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,15 @@ class WriteAheadLog:
         # on disk, so LSN accounting must never report the log as starting
         # at LSN 0 again after a checkpoint truncated its prefix.
         self._truncated_lsn = 0
+        self._generation = 0
+
+    @property
+    def generation(self) -> int:
+        """Bumped whenever bytes already in the log change or go away
+        (:meth:`rebuild`, :meth:`truncate_before`, :meth:`corrupt_tail`);
+        appends never bump it, so an offset returned by :meth:`scan_from`
+        stays valid while the generation holds."""
+        return self._generation
 
     @property
     def next_lsn(self) -> int:
@@ -73,7 +87,7 @@ class WriteAheadLog:
     @property
     def entry_count(self) -> int:
         """Number of intact entries currently in the log body."""
-        return len(self._scan()[0])
+        return len(self.scan_from(0)[0])
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -122,7 +136,7 @@ class WriteAheadLog:
             # starts on a valid record boundary instead of landing
             # unreachable behind torn bytes (the pre-fix behaviour silently
             # lost every append made after a torn tail).
-            _, _, valid_end = self._scan()
+            _, _, valid_end = self.scan_from(0)
             del self._buf[valid_end:]
             self._torn = False
         crc = zlib.crc32(payload)
@@ -131,12 +145,14 @@ class WriteAheadLog:
         if corrupt:
             self._buf[-1] ^= 0xFF
 
-    def _scan(self) -> tuple[list[WalEntry], int, int]:
-        """Walk the buffer; return (valid entries, last valid LSN, offset
-        just past the last valid entry)."""
+    def scan_from(self, offset: int) -> tuple[list[WalEntry], int, int]:
+        """Walk the buffer from byte ``offset`` (0, or an offset this
+        method returned in the current :attr:`generation`); return (valid
+        entries, last valid LSN among them or 0, offset just past the last
+        valid entry).  Stops at the first torn or corrupt record, exactly
+        where :meth:`recover_prefix` stops."""
         entries: list[WalEntry] = []
         last_lsn = 0
-        offset = 0
         buf = self._buf
         while offset + _HEADER.size <= len(buf):
             crc, length, lsn = _HEADER.unpack_from(buf, offset)
@@ -159,7 +175,7 @@ class WriteAheadLog:
         that was never checkpoint-truncated.  After ``truncate_before``
         the reported LSN never falls below the truncated prefix: those
         entries are durable in the checkpoint snapshot, not lost."""
-        entries, last_lsn, _ = self._scan()
+        entries, last_lsn, _ = self.scan_from(0)
         yield from entries
         return max(last_lsn, self._truncated_lsn)
 
@@ -170,14 +186,14 @@ class WriteAheadLog:
         the LSN high-water mark (replica freshness comparison, catch-up
         after a torn tail) rather than an iterator.
         """
-        entries, last_lsn, _ = self._scan()
+        entries, last_lsn, _ = self.scan_from(0)
         return entries, max(last_lsn, self._truncated_lsn)
 
     @property
     def last_valid_lsn(self) -> int:
         """LSN of the last intact entry — floored at the checkpoint
         truncation point (0 only for a log that never held anything)."""
-        return max(self._scan()[1], self._truncated_lsn)
+        return max(self.scan_from(0)[1], self._truncated_lsn)
 
     def rebuild(self, entries: Iterable[WalEntry]) -> None:
         """Replace the log body with ``entries`` (anti-entropy repair)."""
@@ -191,6 +207,7 @@ class WriteAheadLog:
         self._buf = buf
         self._torn = False
         self._next_lsn = next_lsn
+        self._generation += 1
 
     def truncate_before(self, lsn: int) -> None:
         """Drop entries with LSN < ``lsn`` (checkpointing).
@@ -202,7 +219,7 @@ class WriteAheadLog:
         """
         kept = bytearray()
         dropped_max = 0
-        for entry in self._scan()[0]:
+        for entry in self.scan_from(0)[0]:
             if entry.lsn >= lsn:
                 crc = zlib.crc32(entry.payload)
                 kept += _HEADER.pack(crc, len(entry.payload), entry.lsn)
@@ -212,6 +229,7 @@ class WriteAheadLog:
         self._buf = kept
         self._torn = False
         self._truncated_lsn = max(self._truncated_lsn, dropped_max)
+        self._generation += 1
 
     def corrupt_tail(self, nbytes: int) -> None:
         """Chop ``nbytes`` off the end to simulate a torn write (tests)."""
@@ -219,3 +237,4 @@ class WriteAheadLog:
             raise StorageError("nbytes must be >= 0")
         self._buf = self._buf[: max(0, len(self._buf) - nbytes)]
         self._torn = True
+        self._generation += 1

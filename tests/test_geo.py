@@ -12,7 +12,7 @@ seeds.
 import pytest
 
 from repro import DataKind, DataRecord, Space
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, ShardReplicator, ShardRouter
 from repro.core import ConfigurationError, NetworkError
 from repro.core.errors import DeadlineExceededError, PartitionedError
 from repro.geo import (
@@ -24,6 +24,7 @@ from repro.geo import (
     GeoDeployment,
     GeoSession,
 )
+from repro.ledger import MerkleTree
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
@@ -179,6 +180,63 @@ class TestReplication:
         for remote in others(geo, home):
             value = geo.read("player-0001", EVENTUAL, region=remote)
             assert value["payload"]["x"] == 11.0
+
+
+@pytest.fixture
+def leaves_hashed(monkeypatch):
+    """Counts ``MerkleTree.append`` calls: one per leaf hashed."""
+    calls = []
+    append = MerkleTree.append
+
+    def counting(self, data):
+        calls.append(data)
+        return append(self, data)
+
+    monkeypatch.setattr(MerkleTree, "append", counting)
+    return calls
+
+
+class TestAntiEntropyWork:
+    """Anti-entropy hashes only what was written since its last round,
+    and the write path hashes nothing."""
+
+    def test_round_hashes_only_new_leaves(self, leaves_hashed):
+        plan = FaultPlan(rules=[
+            FaultRule(site="geo.wan", kind="drop", rate=1.0, end=0.2),
+        ], seed=3)
+        geo = make_geo(faults=FaultInjector(plan))
+        for i in range(40):
+            geo.write_record(record(f"player-{i:04d}", {"x": float(i)}))
+        geo.tick(0.5)  # one anti-entropy round repairs every dropped entry
+        assert geo.metrics.counter("geo.antientropy.rounds").value > 0
+        assert geo.max_replication_lag() == 0
+        leaves_hashed.clear()
+        geo.tick(0.5)  # a round with no new writes
+        assert leaves_hashed == []
+        k = 5
+        home = geo.home_of("player-0001")
+        for i in range(k):
+            geo.write_record(record("player-0001", {"x": 100.0 + i}))
+        assert leaves_hashed == []  # logging and shipping hash nothing
+        geo.tick(0.5)  # delivers the k entries, then runs a round
+        assert geo.max_replication_lag() == 0
+        # The k new entries, once in the primary and once in each copy.
+        assert len(leaves_hashed) == k * len(REGIONS)
+        assert set(leaves_hashed) == {
+            f"{e.lsn}:".encode() + e.payload
+            for e in geo.replicator.primary_entries(home)[-k:]
+        }
+
+    def test_shard_log_op_hashes_nothing(self, leaves_hashed):
+        rep = ShardReplicator(ShardRouter(["a", "b", "c"]), n_replicas=2)
+        for i in range(50):
+            rep.log_op("a", {"op": "entity", "k": f"k{i}", "v": i})
+        assert leaves_hashed == []
+        assert rep.sync_owner("a") is False
+        assert len(leaves_hashed) == 3 * 50  # union target + two copies
+        leaves_hashed.clear()
+        rep.log_op("a", {"op": "entity", "k": "k50", "v": 50})
+        assert leaves_hashed == []
 
 
 class TestConsistencyModes:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import LedgerError
 from repro.ledger import MerkleTree, verify_consistency, verify_inclusion
+from repro.ledger.merkle import _leaf_hash, _root_of
 
 
 def build(n):
@@ -56,6 +57,42 @@ class TestRoot:
         # A single leaf whose content is the concatenation: different root.
         t2.append(b"ab")
         assert t1.root() != t2.root()
+
+
+class TestFrontier:
+    """The head over all leaves is folded from the append-time frontier;
+    the recursive ``_root_of`` over the leaf hashes is the reference."""
+
+    def test_head_matches_recursive_root_for_every_size(self):
+        tree = MerkleTree()
+        hashes = []
+        for n in range(301):
+            assert tree.root() == _root_of(hashes), n
+            data = f"entry-{n}".encode()
+            tree.append(data)
+            hashes.append(_leaf_hash(data))
+
+    def test_historical_roots_unchanged(self):
+        tree = build(300)
+        hashes = [_leaf_hash(f"entry-{i}".encode()) for i in range(300)]
+        for k in range(301):
+            assert tree.root(k) == _root_of(hashes[:k]), k
+
+    def test_copy_is_independent(self):
+        tree = build(13)
+        clone = tree.copy()
+        assert clone.root() == tree.root() and len(clone) == 13
+        clone.append(b"only-in-clone")
+        assert len(tree) == 13 and tree.root() == build(13).root()
+        tree.append(b"only-in-source")
+        assert clone.root(13) == tree.root(13)
+        assert clone.root() != tree.root()
+        expected = build(13)
+        expected.append(b"only-in-clone")
+        assert clone.root() == expected.root()
+        assert clone.consistency_proof(13).path == (
+            expected.consistency_proof(13).path
+        )
 
 
 class TestInclusion:

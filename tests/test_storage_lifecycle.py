@@ -13,7 +13,11 @@ observe:
   union;
 * **tier demotion/promotion round-trips bitwise** — a value demoted to
   the cold object tier and promoted back compares equal, and its
-  canonical encoding is byte-identical.
+  canonical encoding is byte-identical;
+* **a replica copy's incremental digest equals the one-shot root** — for
+  any interleaving of appends, out-of-order and holey adoptions, torn
+  tails, compaction, rebuilds and primary repairs, the cached Merkle root
+  of every copy equals ``merkle_root`` over its valid prefix.
 
 Plus deterministic regression tests for the WAL truncation-floor fix (the
 satellite bugfix: ``corrupt_tail`` + append after a checkpoint truncated
@@ -36,7 +40,16 @@ from repro.storage import (
     WalEntry,
     WriteAheadLog,
 )
-from repro.storage.replica_log import DROPPED, compact_entries, fold
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
+from repro.storage.replica_log import (
+    DROPPED,
+    ReplicaLog,
+    compact_entries,
+    entity_op,
+    fold,
+    merkle_root,
+    stock_op,
+)
 
 pytestmark = [pytest.mark.lifecycle]
 
@@ -312,6 +325,126 @@ class TestCompactionPreservesUnion:
         assert list(state.products) == ["b", "c", "a"]
         assert state.products["a"] == {"stock": 2}
         assert state.lsns == {"a": 5, "b": 2, "c": 4}
+
+
+# -- property: the incremental digest equals the one-shot root ----------------
+
+HOLDERS = ("own", "r1", "r2")
+
+digest_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), keys, st.integers(-1, 99)),
+        # Adopt (or drop, leaving a hole) the pending entry at a random
+        # position of a holder's queue: arrivals out of LSN order.
+        st.tuples(st.just("adopt"), st.integers(1, 2), st.integers(0, 50)),
+        st.tuples(st.just("drop"), st.integers(1, 2), st.integers(0, 50)),
+        st.tuples(st.just("tear"), st.just(0), st.integers(0, 40)),
+        st.tuples(st.just("compact"), st.integers(0, 2), st.just(0)),
+        st.tuples(st.just("rebuild"), st.integers(0, 2), st.just(0)),
+        st.tuples(st.just("repair"), st.integers(1, 2), st.just(0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestIncrementalDigest:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=digest_steps)
+    def test_cached_root_equals_one_shot_root(self, steps):
+        log = ReplicaLog("own", ["r1", "r2"])
+        pending = {"r1": [], "r2": []}
+        for kind, who, arg in steps:
+            if kind == "append":
+                op = stock_op(who, arg) if arg >= 0 else entity_op(who, arg)
+                entry = log.append(op)
+                for queue in pending.values():
+                    queue.append(entry)
+            elif kind in ("adopt", "drop"):
+                queue = pending[HOLDERS[who]]
+                if queue:
+                    lsn, payload = queue.pop(arg % len(queue))
+                    if kind == "adopt":
+                        log.adopt(HOLDERS[who], lsn, payload)
+            elif kind == "tear":
+                log.tear(arg)
+            elif kind == "compact":
+                log.compact(HOLDERS[who])
+            elif kind == "rebuild":
+                log.rebuild([HOLDERS[who]], log.union())
+            elif kind == "repair":
+                log.rebuild([HOLDERS[who]], log.entries("own"), source="own")
+            for name in HOLDERS:
+                assert log.root(name) == merkle_root(log.entries(name))
+
+
+def _append_all(wal, payloads, corrupt_at=None):
+    """Append ``payloads``; the one at index ``corrupt_at`` is damaged in
+    place by an injected ``corrupt`` fault."""
+    corrupt = FaultInjector(FaultPlan(rules=[
+        FaultRule(site="wal.append", kind="corrupt", rate=1.0),
+    ]))
+    for i, payload in enumerate(payloads):
+        wal.faults = corrupt if i == corrupt_at else None
+        wal.append(payload)
+    wal.faults = None
+
+
+wal_payloads = st.lists(st.binary(min_size=1, max_size=12), max_size=20)
+
+
+class TestIncrementalScan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        first=wal_payloads,
+        second=wal_payloads,
+        corrupt_at=st.one_of(st.none(), st.integers(0, 19)),
+        torn=st.integers(0, 60),
+    )
+    def test_scan_resumes_and_stops_where_recovery_stops(
+        self, first, second, corrupt_at, torn
+    ):
+        wal = WriteAheadLog()
+        _append_all(wal, first)
+        head, _, offset = wal.scan_from(0)
+        assert offset == len(wal)
+        _append_all(wal, second, corrupt_at)
+        tail, last, _ = wal.scan_from(offset)
+        assert head + tail == wal.recover_prefix()[0]
+        assert last == (tail[-1].lsn if tail else 0)
+        if corrupt_at is None or corrupt_at >= len(second):
+            assert len(tail) == len(second)
+        else:
+            assert len(tail) == corrupt_at  # stopped at the damaged record
+        # A torn tail starts a new generation: rescan, then resume again.
+        wal.corrupt_tail(torn)
+        entries, _, offset = wal.scan_from(0)
+        assert entries == wal.recover_prefix()[0]
+        wal.append(b"after")
+        tail, _, _ = wal.scan_from(offset)
+        assert entries + tail == wal.recover_prefix()[0]
+
+    def test_generation_moves_only_when_written_bytes_change(self):
+        wal = WriteAheadLog()
+        seen = [wal.generation]
+
+        def moved() -> bool:
+            seen.append(wal.generation)
+            return seen[-1] != seen[-2]
+
+        wal.append(b"a")
+        wal.append_at(7, b"b")
+        assert not moved()
+        wal.corrupt_tail(2)
+        assert moved()
+        wal.append(b"c")  # trims the torn bytes, but appends only
+        wal.append_at(9, b"d")
+        assert not moved()
+        wal.truncate_before(8)
+        assert moved()
+        wal.rebuild(wal.recover_prefix()[0])
+        assert moved()
+        assert [e.lsn for e in wal.recover_prefix()[0]] == [8, 9]
 
 
 # -- property: tier round trips are bitwise -----------------------------------
