@@ -31,7 +31,6 @@ from .geo.deployment import GeoConfig, GeoDeployment, GeoSession
 from .ledger.ledgerdb import LedgerDB
 from .obs.export import render_json, render_prometheus, write_snapshot
 from .obs.logsink import LogSink
-from .obs.profiling import timed
 from .obs.tracing import NoopTracer, Span, Tracer
 from .platform.gateway import DeviceGateway
 from .platform.platform import MetaversePlatform
@@ -88,7 +87,6 @@ __all__ = [
     "Tracer",
     "render_json",
     "render_prometheus",
-    "timed",
     "write_snapshot",
     "__version__",
 ]

@@ -38,15 +38,12 @@ class GatherResult:
 class ContinuousQuery:
     """One standing query, re-evaluated on every :meth:`tick`.
 
-    ``request`` carries the full query-plane request (any modality);
-    ``prefix`` is kept as a plain-data summary for the common
-    prefix-scan case (empty for other modalities).
+    ``request`` carries the full query-plane request (any modality).
     """
 
     query_id: str
-    prefix: str
+    request: QueryRequest
     results: GatherResult | None = field(default=None)
-    request: "QueryRequest | None" = field(default=None)
 
 
 @runtime_checkable

@@ -481,12 +481,7 @@ class PlatformCluster:
         self.maintain_storage()
         results: dict[str, GatherResult] = {}
         for query in self._continuous.values():
-            request = (
-                query.request
-                if query.request is not None
-                else prefix_query(query.prefix)
-            )
-            query.results = self.query(request)
+            query.results = self.query(query.request)
             self.metrics.counter("cluster.continuous.evaluations").inc()
             results[query.query_id] = query.results
         return results
@@ -722,9 +717,7 @@ class PlatformCluster:
         """Register a standing query of *any* modality, refreshed per tick."""
         if query_id in self._continuous:
             raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._continuous[query_id] = ContinuousQuery(
-            query_id, str(request.params.get("prefix", "")), request=request
-        )
+        self._continuous[query_id] = ContinuousQuery(query_id, request)
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous[query_id].results
@@ -1131,7 +1124,7 @@ class PlatformCluster:
             if remaining:
                 self.metrics.counter("cluster.disagg.dirty_remaps").inc()
                 self.tracer.log(
-                    "warn",
+                    "warning",
                     "remap with unflushed product write-throughs",
                     shard=name,
                     dirty=remaining,

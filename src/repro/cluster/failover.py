@@ -437,7 +437,7 @@ class FailoverManager:
         if torn_tail_bytes > 0:
             self.replicator.torn_tail(name, torn_tail_bytes)
         self.metrics.counter("cluster.failover.kills").inc()
-        self.tracer.log("warn", "shard killed", shard=name)
+        self.tracer.log("warning", "shard killed", shard=name)
 
     # -- the per-tick loop ---------------------------------------------------
 

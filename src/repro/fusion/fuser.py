@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.errors import ConfigurationError, FusionError
-from ..obs.profiling import timed
 from .sources import Observation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,7 +67,6 @@ class TruthFusion:
 
     # -- public API -----------------------------------------------------------
 
-    @timed("fusion.fuse")
     def fuse(self, observations: list[Observation]) -> dict[tuple[str, str], FusedValue]:
         """Fuse all observations; returns {(entity, attribute): FusedValue}."""
         if not observations:
@@ -89,7 +87,6 @@ class TruthFusion:
         self.source_trust = trust
         return fused
 
-    @timed("fusion.fuse_batch")
     def fuse_batch(
         self, batch: "ObservationBatch"
     ) -> dict[tuple[str, str], FusedValue]:

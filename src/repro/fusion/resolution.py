@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.errors import ConfigurationError
-from ..obs.profiling import timed
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -119,7 +118,6 @@ class EntityResolver:
                 blocks[token[: self.block_prefix]].append(record)
         return blocks
 
-    @timed("fusion.resolve")
     def resolve(self, records: list[SourceRecord]) -> list[list[SourceRecord]]:
         """Cluster records referring to the same entity."""
         by_id = {r.record_id: r for r in records}

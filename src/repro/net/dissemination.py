@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from ..core.errors import ConfigurationError
 from ..core.metrics import MetricsRegistry
 from ..obs.tracing import NoopTracer, Tracer
-from ..obs.profiling import timed
 
 
 @dataclass
@@ -355,27 +354,27 @@ class PriorityScheduler:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @timed("net.scheduler_drain")
     def drain(self, now: float, budget_bytes: int) -> list[Delivery]:
         """Transmit up to ``budget_bytes`` worth of queued items."""
         sent: list[Delivery] = []
         remaining = budget_bytes
-        while self._heap and self._heap[0].size_bytes <= remaining:
-            item = heapq.heappop(self._heap)
-            remaining -= item.size_bytes
-            delivery = Delivery(
-                label=item.label,
-                priority=item.priority,
-                enqueued_at=item.enqueued_at,
-                delivered_at=now,
-                size_bytes=item.size_bytes,
-            )
-            sent.append(delivery)
-            self.deliveries.append(delivery)
-            self.metrics.counter("sched.delivered").inc()
-            self.metrics.histogram(f"sched.latency.p{item.priority}").observe(
-                delivery.latency
-            )
+        with self.tracer.span("net.scheduler_drain"):
+            while self._heap and self._heap[0].size_bytes <= remaining:
+                item = heapq.heappop(self._heap)
+                remaining -= item.size_bytes
+                delivery = Delivery(
+                    label=item.label,
+                    priority=item.priority,
+                    enqueued_at=item.enqueued_at,
+                    delivered_at=now,
+                    size_bytes=item.size_bytes,
+                )
+                sent.append(delivery)
+                self.deliveries.append(delivery)
+                self.metrics.counter("sched.delivered").inc()
+                self.metrics.histogram(f"sched.latency.p{item.priority}").observe(
+                    delivery.latency
+                )
         return sent
 
     def latencies_by_priority(self) -> dict[int, list[float]]:

@@ -1,11 +1,10 @@
-"""Observability: tracing, metrics export, profiling, structured logs.
+"""Observability: tracing, metrics export, structured logs.
 
 ``repro.obs`` is the measurement substrate for the platform.  It adds a
 request-scoped view (hierarchical :class:`Tracer` spans threaded through
 the device → cloud → storage hot paths), an export path for the existing
 :class:`~repro.core.metrics.MetricsRegistry` (Prometheus text + JSON
-snapshots), ``@timed`` histogram hooks on operator entry points, and a
-bounded span-aware :class:`LogSink`.
+snapshots), and a bounded span-aware :class:`LogSink`.
 
 Conventions:
 
@@ -26,13 +25,6 @@ from .export import (
     write_snapshot,
 )
 from .logsink import LogRecord, LogSink
-from .profiling import (
-    profile_registry,
-    profiled,
-    set_profile_registry,
-    timed,
-    timing_summary,
-)
 from .tracing import NoopTracer, Span, Tracer
 
 __all__ = [
@@ -41,14 +33,9 @@ __all__ = [
     "NoopTracer",
     "Span",
     "Tracer",
-    "profile_registry",
-    "profiled",
     "render_json",
     "render_prometheus",
     "sanitize_metric_name",
-    "set_profile_registry",
     "snapshot_dict",
-    "timed",
-    "timing_summary",
     "write_snapshot",
 ]

@@ -109,7 +109,6 @@ class MetaversePlatform:
         breaker: CircuitBreaker | None = None,
         degradation: DegradationController | None = None,
         engine: StorageEngine | None = None,
-        position_index: bool = True,
         semantic_index: SemanticIndexConfig | bool = False,
     ) -> None:
         if n_executors < 1:
@@ -199,8 +198,7 @@ class MetaversePlatform:
         # shares its keyspace with other compute nodes, so spatial
         # queries there fall back to the scan-based filter.
         self._positions: dict[str, tuple] | None = (
-            {} if position_index and isinstance(engine, LocalStorageEngine)
-            else None
+            {} if isinstance(engine, LocalStorageEngine) else None
         )
         # Opt-in semantic retrieval: an HNSW graph over this node's
         # describable entities, maintained from the same write paths as
@@ -247,7 +245,7 @@ class MetaversePlatform:
         except FaultInjectedError:
             if allow_stale and key in self._stale:
                 self.metrics.counter("platform.stale_reads").inc()
-                self.tracer.log("warn", "stale read served", key=key)
+                self.tracer.log("warning", "stale read served", key=key)
                 return self._stale[key]
             raise
         self._remember(key, value)
@@ -453,12 +451,7 @@ class MetaversePlatform:
         self.flush()
         results: dict[str, GatherResult] = {}
         for query in self._continuous.values():
-            request = (
-                query.request
-                if query.request is not None
-                else prefix_query(query.prefix)
-            )
-            query.results = self.query(request)
+            query.results = self.query(query.request)
             self.metrics.counter("platform.continuous.evaluations").inc()
             results[query.query_id] = query.results
         return results
@@ -540,9 +533,7 @@ class MetaversePlatform:
         """Register a standing query of *any* modality, refreshed per tick."""
         if query_id in self._continuous:
             raise ConfigurationError(f"duplicate continuous query {query_id!r}")
-        self._continuous[query_id] = ContinuousQuery(
-            query_id, str(request.params.get("prefix", "")), request=request
-        )
+        self._continuous[query_id] = ContinuousQuery(query_id, request)
 
     def continuous_results(self, query_id: str) -> GatherResult | None:
         return self._continuous[query_id].results

@@ -20,7 +20,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..core.errors import QueryError
 from ..core.records import DataRecord, Space
-from ..obs.profiling import timed
 
 
 class Operator:
@@ -344,7 +343,6 @@ class Limit(Operator):
             yield record
 
 
-@timed("query.execute")
 def execute(operator: Operator) -> list[DataRecord]:
     """Run a plan to completion and return the result rows."""
     return list(operator)

@@ -19,7 +19,6 @@ from typing import Any, Callable, Iterable
 
 from ..core.errors import ConfigurationError, QueryError
 from ..core.records import DataRecord
-from ..obs.profiling import timed
 from ..net.overlay import stable_hash
 
 
@@ -213,7 +212,6 @@ class StreamPipeline:
         # Stable routing (Python's str hash is randomized per process).
         return stable_hash(str(record.key)) % self.parallelism
 
-    @timed("query.stream_process")
     def process(self, records: Iterable[DataRecord]) -> float:
         """Process a batch; return simulated makespan in seconds."""
         start_busy = [r.busy_time for r in self.replicas]

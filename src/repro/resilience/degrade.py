@@ -107,7 +107,7 @@ class DegradationController:
         self.metrics.counter(f"resilience.degradation.{verb}").inc()
         self.metrics.gauge("resilience.degradation.level").set(float(self.level))
         self.tracer.log(
-            "warn" if direction > 0 else "info",
+            "warning" if direction > 0 else "info",
             f"LOD budget {verb}", step=self.level, failure_rate=rate,
         )
         # A full fresh window must accumulate before the next step, so one

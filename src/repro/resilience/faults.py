@@ -232,7 +232,7 @@ class FaultInjector:
         self.metrics.counter("faults.injected").inc()
         self.metrics.counter(f"faults.injected.{rule.kind}").inc()
         self.metrics.counter(f"faults.site.{site}").inc()
-        self.tracer.log("warn", "fault injected", site=site, kind=rule.kind)
+        self.tracer.log("warning", "fault injected", site=site, kind=rule.kind)
 
     def __repr__(self) -> str:
         return (

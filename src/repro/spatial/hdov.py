@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
 from .geometry import BBox, Point
-from ..obs.profiling import timed
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,6 @@ class HDoVTree:
                 level += 1
         return min(level, lod_count - 1)
 
-    @timed("spatial.hdov_query_visible")
     def query_visible(self, viewpoint: Point, view_radius: float) -> list[VisibleObject]:
         """Visible objects around ``viewpoint``, each with its chosen LOD."""
         if view_radius <= 0:

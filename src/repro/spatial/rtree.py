@@ -14,7 +14,6 @@ from typing import Any
 
 from ..core.errors import ConfigurationError, KeyNotFoundError
 from .geometry import BBox, Point
-from ..obs.profiling import timed
 
 
 class _Entry:
@@ -182,7 +181,6 @@ class RTree:
 
     # -- queries ------------------------------------------------------------------
 
-    @timed("spatial.rtree_query_range")
     def query_range(self, box: BBox) -> list[Any]:
         """Object ids whose boxes intersect ``box``."""
         out: list[Any] = []
@@ -197,7 +195,6 @@ class RTree:
                         stack.append(entry.child)
         return out
 
-    @timed("spatial.rtree_nearest")
     def nearest(self, point: Point, k: int = 1) -> list[Any]:
         """Best-first k-nearest-neighbour search."""
         if k < 1:

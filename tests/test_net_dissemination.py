@@ -11,6 +11,7 @@ from repro.net import (
     DisseminationTree,
     PriorityScheduler,
 )
+from repro.obs import Tracer
 
 
 class TestCoherencySource:
@@ -180,6 +181,15 @@ class TestPriorityScheduler:
         latencies = sched.latencies_by_priority()
         assert max(latencies[0]) <= 1.0
         assert max(latencies[2]) > 5.0
+
+    def test_drain_leaves_one_finished_span(self):
+        tracer = Tracer()
+        sched = PriorityScheduler(tracer=tracer)
+        sched.enqueue("x", priority=0, size_bytes=10, now=0.0)
+        sched.drain(now=1.0, budget_bytes=100)
+        spans = tracer.spans_named("net.scheduler_drain")
+        assert len(spans) == 1
+        assert spans[0].end is not None
 
     def test_invalid_enqueue_rejected(self):
         sched = PriorityScheduler()

@@ -1,4 +1,4 @@
-"""Tests for metrics export (Prometheus text + JSON) and @timed profiling."""
+"""Tests for metrics export (Prometheus text + JSON)."""
 
 import json
 import re
@@ -8,12 +8,10 @@ import pytest
 from repro.core import ConfigurationError, MetricsRegistry
 from repro.core.metrics import Histogram
 from repro.obs import (
-    profiled,
     render_json,
     render_prometheus,
     sanitize_metric_name,
     snapshot_dict,
-    timed,
     write_snapshot,
 )
 
@@ -124,67 +122,3 @@ class TestHistogramEmptyQuantile:
         render_json(reg)
         reg.snapshot()
 
-
-class TestTimedDecorator:
-    def test_free_function_lands_in_profile_registry(self):
-        @timed("test.op")
-        def op(x):
-            return x * 2
-
-        with profiled() as reg:
-            assert op(21) == 42
-        hist = reg.histogram("test.op")
-        assert hist.count == 1
-        assert hist.samples[0] >= 0.0
-
-    def test_method_uses_owner_metrics(self):
-        class Component:
-            def __init__(self):
-                self.metrics = MetricsRegistry()
-
-            @timed("component.work")
-            def work(self):
-                return "done"
-
-        comp = Component()
-        with profiled() as global_reg:
-            comp.work()
-            comp.work()
-        assert comp.metrics.histogram("component.work").count == 2
-        assert global_reg.histogram("component.work").count == 0
-
-    def test_explicit_registry_wins(self):
-        reg = MetricsRegistry()
-
-        @timed("explicit.op", registry=reg)
-        def op():
-            pass
-
-        op()
-        assert reg.histogram("explicit.op").count == 1
-
-    def test_records_duration_even_on_exception(self):
-        @timed("failing.op")
-        def boom():
-            raise RuntimeError
-
-        with profiled() as reg:
-            with pytest.raises(RuntimeError):
-                boom()
-        assert reg.histogram("failing.op").count == 1
-
-    def test_instrumented_subsystems_report(self):
-        """The shipped @timed hooks actually record on real operators."""
-        from repro.core import DataKind, DataRecord, Space
-        from repro.query import Scan, execute
-
-        records = [
-            DataRecord(
-                key=f"r{i}", payload={"v": float(i)}, space=Space.VIRTUAL,
-                timestamp=float(i), kind=DataKind.STRUCTURED, source="t",
-            )
-            for i in range(10)
-        ]
-        with profiled() as reg:
-            execute(Scan(records))
-        assert reg.histogram("query.execute").count == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ClusterConfig, PlatformCluster
 from repro.core import (
     ConfigurationError,
     DataKind,
@@ -13,6 +14,7 @@ from repro.core import (
 from repro.ledger import LedgerDB
 from repro.obs import LogSink, NoopTracer, Tracer
 from repro.platform import DeviceGateway, MetaversePlatform
+from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.workloads import FlashSaleConfig, MarketplaceWorkload
 
 
@@ -208,6 +210,27 @@ class TestLogSink:
     def test_bad_level_rejected(self):
         with pytest.raises(ConfigurationError):
             LogSink().log("loud", "msg")
+
+    def test_shard_kill_logs_a_warning(self):
+        sink = LogSink()
+        cluster = PlatformCluster(
+            ClusterConfig(n_shards=2, n_replicas=2), tracer=Tracer(sink=sink)
+        )
+        cluster.kill_shard("shard-0")
+        [record] = sink.records(level="warning")
+        assert record.message == "shard killed"
+        assert record.fields["shard"] == "shard-0"
+
+    def test_injected_fault_logs_a_warning(self):
+        sink = LogSink()
+        injector = FaultInjector(
+            FaultPlan([FaultRule("kv.get", "crash", rate=1.0)]),
+            tracer=Tracer(sink=sink),
+        )
+        assert injector.decide("kv.get").faulted
+        [record] = sink.records(level="warning")
+        assert record.message == "fault injected"
+        assert record.fields == {"site": "kv.get", "kind": "crash"}
 
 
 class TestEndToEndTrace:
