@@ -1216,7 +1216,7 @@ class PlatformCluster:
         for name, shard in self.shards.items():
             self.metrics.gauge(f"cluster.shard.{name}.entities").set(
                 float(owned_counts[name]) if owned_counts is not None
-                else float(len(shard.entity_keys()))
+                else float(shard.entity_count())
             )
             # Per-shard resilience state, labeled by shard name: the
             # circuit-breaker position (0/1/2 = closed/half-open/open,

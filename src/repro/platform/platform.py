@@ -329,9 +329,10 @@ class MetaversePlatform:
         else:
             self._positions.pop(key, None)
 
-    def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
+    def scan(self, lo: str, hi: str | None) -> list[tuple[str, object]]:
         """Sorted range scan of the entity tier (retried past transient
-        faults).  On a remote engine this fans out across storage nodes."""
+        faults); ``hi=None`` leaves it open above.  On a remote engine
+        this fans out across storage nodes."""
         return self._with_retry(lambda: self.engine.scan(lo, hi))
 
     # -- device tier ------------------------------------------------------------
@@ -497,7 +498,7 @@ class MetaversePlatform:
                         continue
                     items.append((key, value))
         else:
-            for key, value in self.scan("", "￿"):
+            for key, value in self.scan("", None):
                 payload = (
                     value.get("payload", {}) if isinstance(value, dict) else {}
                 )
@@ -785,6 +786,10 @@ class MetaversePlatform:
     def entity_keys(self) -> list[str]:
         """Keys of every entity this shard's engine holds."""
         return self._with_retry(lambda: self.engine.keys())
+
+    def entity_count(self) -> int:
+        """How many entities this shard's engine holds."""
+        return self._with_retry(lambda: self.engine.key_count())
 
     def export_entity(self, key: str):
         """The stored value for ``key`` (retried past transient faults)."""

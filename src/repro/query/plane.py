@@ -36,6 +36,7 @@ from typing import Any, Callable, Mapping
 
 from ..api.dataplane import GatherResult
 from ..core.errors import ConfigurationError
+from ..storage.kv import scan_prefix
 from .optimizer import order_predicates
 
 
@@ -158,7 +159,7 @@ class PrefixScanModality(QueryModality):
 
     def execute(self, shard, plan: QueryPlan) -> list:
         prefix = plan.params["prefix"]
-        return self.apply_filters(plan, shard.scan(prefix, prefix + "￿"))
+        return self.apply_filters(plan, scan_prefix(shard.scan, prefix))
 
     def merge(self, partials: list[list], plan: QueryPlan) -> list:
         return _sorted_by_key(partials)

@@ -120,6 +120,15 @@ class SemanticIndex:
         if vector is None:
             self.hnsw.discard(key)
             return False
+        # A move rewrites the payload but not its description: when the
+        # row ``add`` would store is bit-identical to the stored one, a
+        # re-insert would only tombstone a node and rebuild it in place.
+        # ``add`` normalizes again, which can flip a last bit, so compare
+        # against that second normalization, not ``vector`` itself.
+        if key in self.hnsw and (
+            self.hnsw.vector_of(key).tobytes() == normalize(vector).tobytes()
+        ):
+            return True
         self.hnsw.add(key, vector)
         return True
 

@@ -93,10 +93,16 @@ class StorageEngine(ABC):
     def delete(self, key: str) -> None: ...
 
     @abstractmethod
-    def scan(self, lo: str, hi: str) -> list[tuple[str, object]]: ...
+    def scan(self, lo: str, hi: str | None) -> list[tuple[str, object]]:
+        """Live entities with ``lo <= key <= hi``, sorted; ``hi=None``
+        leaves the range open above."""
 
     def keys(self) -> list[str]:
-        return [key for key, _ in self.scan("", "￿")]
+        return [key for key, _ in self.scan("", None)]
+
+    def key_count(self) -> int:
+        """How many entities the engine holds (what gauges report)."""
+        return len(self.keys())
 
     # -- bulk entity ops (the tick-coalesced hot path) ----------------------
     #
@@ -161,7 +167,7 @@ class StorageEngine(ABC):
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "entities": len(self.keys())}
+        return {"kind": self.kind, "entities": self.key_count()}
 
 
 class LocalStorageEngine(StorageEngine):
@@ -210,11 +216,14 @@ class LocalStorageEngine(StorageEngine):
     def delete(self, key: str) -> None:
         self.kv.delete(key)
 
-    def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
+    def scan(self, lo: str, hi: str | None) -> list[tuple[str, object]]:
         return list(self.kv.scan(lo, hi))
 
     def keys(self) -> list[str]:
         return self.kv.keys()
+
+    def key_count(self) -> int:
+        return len(self.kv)
 
     # -- products -----------------------------------------------------------
 
@@ -437,7 +446,7 @@ class StorageTier:
     def refresh_gauges(self) -> None:
         for name, node in self.nodes.items():
             self.metrics.gauge(f"storage.node.{name}.entities").set(
-                float(len(node.engine.keys()))
+                float(node.engine.key_count())
             )
             self.metrics.gauge(f"storage.node.{name}.ops_total").set(
                 float(node.ops)
@@ -583,9 +592,11 @@ class RemoteStorageEngine(StorageEngine):
     def delete(self, key: str) -> None:
         self._rpc(self.tier.node_of(key), "delete", len(key), key)
 
-    def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
+    def scan(self, lo: str, hi: str | None) -> list[tuple[str, object]]:
+        # An open upper bound travels as a one-byte marker.
+        request_size = len(lo) + (1 if hi is None else len(hi))
         merged: list[tuple[str, object]] = []
-        for part in self._fan_out("scan", len(lo) + len(hi), lo, hi):
+        for part in self._fan_out("scan", request_size, lo, hi):
             merged.extend(part)
         merged.sort(key=lambda kv: kv[0])
         return merged

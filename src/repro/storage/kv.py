@@ -27,6 +27,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _TOMBSTONE = object()
 
+#: The greatest code point: no key character sorts above it.
+_MAX_CHAR = chr(0x10FFFF)
+
+
+def prefix_successor(prefix: str) -> str | None:
+    """The least key that sorts above every key starting with ``prefix``.
+
+    ``None`` when there is none (``prefix`` is empty or all U+10FFFF), so
+    the range of keys under ``prefix`` has no upper end.  Keys under
+    ``prefix`` are exactly those in ``[prefix, successor)``.
+    """
+    stem = prefix.rstrip(_MAX_CHAR)
+    if not stem:
+        return None
+    return stem[:-1] + chr(ord(stem[-1]) + 1)
+
+
+def scan_prefix(scan, prefix: str) -> list[tuple[str, object]]:
+    """Every ``(key, value)`` whose key starts with ``prefix``.
+
+    ``scan(lo, hi)`` is any inclusive range scan that reads ``hi=None``
+    as "no upper end"; the successor bound is exclusive, so its own row
+    (if any) is dropped.
+    """
+    hi = prefix_successor(prefix)
+    return [(key, value) for key, value in scan(prefix, hi) if key != hi]
+
 
 class _Versioned(NamedTuple):
     """A value with its global write sequence number.
@@ -81,11 +108,11 @@ class MemTable:
     def __len__(self) -> int:
         return len(self._data)
 
-    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
+    def scan(self, lo: str, hi: str | None) -> Iterator[tuple[str, _Versioned]]:
         start = bisect_left(self._keys, lo)
         for idx in range(start, len(self._keys)):
             key = self._keys[idx]
-            if key > hi:
+            if hi is not None and key > hi:
                 return
             yield key, self._data[key]
 
@@ -114,9 +141,9 @@ class SSTable:
             return self._values[idx]
         return None
 
-    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, _Versioned]]:
+    def scan(self, lo: str, hi: str | None) -> Iterator[tuple[str, _Versioned]]:
         idx = bisect_left(self._keys, lo)
-        while idx < len(self._keys) and self._keys[idx] <= hi:
+        while idx < len(self._keys) and (hi is None or self._keys[idx] <= hi):
             yield self._keys[idx], self._values[idx]
             idx += 1
 
@@ -169,6 +196,10 @@ class KVStore:
         self._memtable = MemTable()
         self._runs: list[SSTable] = []  # newest first
         self._seqno = 0
+        # Every live key, kept where the memtable is written (flush and
+        # compaction never change liveness), so key listings and counts
+        # cost the live set rather than a merged scan of every run.
+        self._live: set[str] = set()
 
     def _maybe_fault(self, site: str, key: str) -> None:
         if self.faults is not None:
@@ -217,6 +248,7 @@ class KVStore:
             for offset, (key, value) in enumerate(items, start=1)
         ]
         self._memtable.mput(entries, value_bytes=len(payload))
+        self._live.update(key for key, _ in items)
         self.metrics.counter("kv.puts").inc(len(items))
         self._maybe_flush()
 
@@ -232,12 +264,14 @@ class KVStore:
     def _apply_put(self, key: str, value: object) -> None:
         self._seqno += 1
         self._memtable.put(key, _Versioned(self._seqno, value))
+        self._live.add(key)
         self.metrics.counter("kv.puts").inc()
         self._maybe_flush()
 
     def _apply_delete(self, key: str) -> None:
         self._seqno += 1
         self._memtable.put(key, _Versioned(self._seqno, _TOMBSTONE))
+        self._live.discard(key)
         self.metrics.counter("kv.deletes").inc()
         self._maybe_flush()
 
@@ -267,8 +301,9 @@ class KVStore:
     def __contains__(self, key: str) -> bool:
         return self.get_or(key, _TOMBSTONE) is not _TOMBSTONE
 
-    def scan(self, lo: str, hi: str) -> Iterator[tuple[str, object]]:
-        """Yield live (key, value) pairs with lo <= key <= hi, ascending."""
+    def scan(self, lo: str, hi: str | None) -> Iterator[tuple[str, object]]:
+        """Yield live (key, value) pairs with lo <= key <= hi, ascending;
+        ``hi=None`` leaves the range open above."""
         self.metrics.counter("kv.scans").inc()
         best: dict[str, _Versioned] = {}
         for source in [self._memtable, *self._runs]:
@@ -281,10 +316,10 @@ class KVStore:
                 yield key, best[key].value
 
     def keys(self) -> list[str]:
-        return [k for k, _ in self.scan("", "￿")]
+        return sorted(self._live)
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return len(self._live)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -335,7 +370,7 @@ class KVStore:
         """
         return {
             "seqno": self._seqno,
-            "items": [[key, value] for key, value in self.scan("", "￿")],
+            "items": [[key, value] for key, value in self.scan("", None)],
         }
 
     def load_snapshot(self, state: dict) -> int:
@@ -354,6 +389,7 @@ class KVStore:
                 entries,
                 value_bytes=sum(_value_size(v.value) for _, v in entries),
             )
+            self._live.update(key for key, _ in entries)
             self._maybe_flush()
         self._seqno = max(self._seqno, int(state.get("seqno", 0)))
         self.metrics.counter("kv.snapshot_loads").inc()

@@ -294,9 +294,7 @@ class TieredStorageEngine(LocalStorageEngine):
 
     def _refresh_tier_gauges(self) -> None:
         self.metrics.gauge("storage.tier.hot_entries").set(float(len(self._hot)))
-        self.metrics.gauge("storage.tier.warm_entries").set(
-            float(len(self.kv.keys()))
-        )
+        self.metrics.gauge("storage.tier.warm_entries").set(float(len(self.kv)))
         self.metrics.gauge("storage.tier.cold_entries").set(float(len(self._cold)))
 
     # -- entity ops (tier-aware) ---------------------------------------------
@@ -343,10 +341,10 @@ class TieredStorageEngine(LocalStorageEngine):
             self.objects.delete(_COLD_PREFIX + key)
             self._cold.discard(key)
 
-    def scan(self, lo: str, hi: str) -> list[tuple[str, object]]:
+    def scan(self, lo: str, hi: str | None) -> list[tuple[str, object]]:
         merged = dict(self.kv.scan(lo, hi))
         for key in self._cold:
-            if lo <= key <= hi and key not in merged:
+            if lo <= key and (hi is None or key <= hi) and key not in merged:
                 merged[key] = _decode_value(
                     bytes(self.objects.get(_COLD_PREFIX + key))
                 )
@@ -354,6 +352,11 @@ class TieredStorageEngine(LocalStorageEngine):
 
     def keys(self) -> list[str]:
         return sorted(set(self.kv.keys()) | self._cold)
+
+    def key_count(self) -> int:
+        # Warm and cold are disjoint: demotion deletes the warm copy, and
+        # every write or promotion clears the cold one.
+        return len(self.kv) + len(self._cold)
 
     # -- recovery ------------------------------------------------------------
 
@@ -393,7 +396,7 @@ class TieredStorageEngine(LocalStorageEngine):
         return {
             "kind": self.kind,
             "hot": len(self._hot),
-            "warm": len(self.kv.keys()),
+            "warm": len(self.kv),
             "cold": len(self._cold),
             "checkpoint_lsn": self.checkpointer.checkpoint_lsn,
         }

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from ..core.errors import ConfigurationError
 from ..core.records import DataKind, DataRecord, Space
-from ..storage.kv import KVStore
-
-_HI = "￿"
+from ..storage.kv import KVStore, scan_prefix
 
 
 class _BaseOrganization:
@@ -60,7 +58,7 @@ class TaggedUnifiedStore(_BaseOrganization):
     def query_space(self, space: Space, prefix: str = "") -> list[dict]:
         """Single-space query: must scan all rows and filter by tag."""
         out = []
-        for _, value in self._store.scan(prefix, prefix + _HI):
+        for _, value in scan_prefix(self._store.scan, prefix):
             self.rows_scanned += 1
             if value["space"] == space.value:
                 out.append(value)
@@ -69,7 +67,7 @@ class TaggedUnifiedStore(_BaseOrganization):
 
     def query_cross(self, prefix: str = "") -> list[dict]:
         """Cross-space query: one unified scan, no merge needed."""
-        out = [value for _, value in self._store.scan(prefix, prefix + _HI)]
+        out = [value for _, value in scan_prefix(self._store.scan, prefix)]
         self.rows_scanned += len(out)
         self.rows_returned += len(out)
         return out
@@ -89,7 +87,7 @@ class SeparateStores(_BaseOrganization):
 
     def query_space(self, space: Space, prefix: str = "") -> list[dict]:
         out = [
-            value for _, value in self._stores[space].scan(prefix, prefix + _HI)
+            value for _, value in scan_prefix(self._stores[space].scan, prefix)
         ]
         self.rows_scanned += len(out)
         self.rows_returned += len(out)
@@ -99,7 +97,7 @@ class SeparateStores(_BaseOrganization):
         """Cross-space query: scan both stores and merge by timestamp."""
         out = []
         for store in self._stores.values():
-            rows = [value for _, value in store.scan(prefix, prefix + _HI)]
+            rows = [value for _, value in scan_prefix(store.scan, prefix)]
             self.rows_scanned += len(rows)
             out.extend(rows)
         out.sort(key=lambda v: v["timestamp"])

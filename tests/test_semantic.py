@@ -26,6 +26,7 @@ from repro.semantic import (
     embed_payload,
     embed_text,
     embed_tokens,
+    indexed_vector,
     normalize,
     payload_tokens,
     semantic_query,
@@ -245,6 +246,55 @@ class TestSemanticIndex:
         assert index.index_record("a", {"x": 1.0}) is False
         assert "a" not in index and len(index) == 0
         assert index.index_record("b", {"v": 7}) is False
+
+    @staticmethod
+    def _moved_corpus():
+        index = SemanticIndex()
+        for i in range(24):
+            index.index_record(f"s/{i:02d}", {**scene_payload(i), "x": 1.0})
+        return index
+
+    def test_position_only_rewrite_touches_no_graph_state(self):
+        index = self._moved_corpus()
+        nodes, evals = index.hnsw.node_count, index.distance_evals
+        for i in range(24):
+            moved = {**scene_payload(i), "x": 2.0 + i, "y": -1.0}
+            assert index.index_record(f"s/{i:02d}", moved) is True
+        assert index.hnsw.node_count == nodes
+        assert index.distance_evals == evals
+        assert len(index) == 24
+
+    def test_changed_description_still_reinserts(self):
+        index = self._moved_corpus()
+        nodes = index.hnsw.node_count
+        index.index_record("s/03", {"name": "green glass fountain", "x": 1.0})
+        assert index.hnsw.node_count == nodes + 1
+        assert len(index) == 24
+        hits = index.search(embed_text("green glass fountain"), 1, ef=64)
+        assert hits[0][0] == "s/03"
+
+    def test_describable_to_numeric_is_still_evicted(self):
+        index = self._moved_corpus()
+        assert index.index_record("s/05", {"x": 3.0, "y": 4.0}) is False
+        assert "s/05" not in index and len(index) == 23
+        # The unchanged description of a neighbour is still a no-op.
+        nodes = index.hnsw.node_count
+        index.index_record("s/06", {**scene_payload(6), "x": 9.0})
+        assert index.hnsw.node_count == nodes
+
+    def test_skip_compares_against_the_row_add_would_store(self):
+        # ``add`` normalizes the already-normalized indexed vector again;
+        # for this key that second pass changes some last bits, so a
+        # comparison against ``indexed_vector`` itself would never match.
+        key, payload = "obj/3", {"name": "red chair 3"}
+        vector = indexed_vector(key, payload)
+        assert vector.tobytes() != normalize(vector).tobytes()
+        index = SemanticIndex()
+        index.index_record("obj/0", {"name": "blue table"})
+        index.index_record(key, payload)
+        nodes, evals = index.hnsw.node_count, index.distance_evals
+        index.index_record(key, {**payload, "x": 5.0})
+        assert (index.hnsw.node_count, index.distance_evals) == (nodes, evals)
 
     def test_exact_search_matches_hnsw_on_small_corpus(self):
         index = SemanticIndex()
